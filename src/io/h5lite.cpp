@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -65,6 +67,7 @@ public:
     return {reinterpret_cast<const char*>(p.data()), n};
   }
   bool exhausted() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
 private:
   std::span<const std::uint8_t> take(std::size_t n) {
@@ -122,10 +125,23 @@ std::pair<std::string, Dataset> get_dataset(Reader& r) {
   const std::uint8_t t = r.u8();
   V2D_REQUIRE(t <= 1, "h5lite: bad dataset type");
   d.type = static_cast<Dataset::Type>(t);
+  // ndims and the extents are read from the file: bound both by the bytes
+  // that remain (8 per dim, 8 per element) before anything is allocated.
   const std::uint32_t ndims = r.u32();
+  V2D_REQUIRE(ndims <= r.remaining() / 8,
+              "h5lite: dataset '" + name + "' declares " +
+                  std::to_string(ndims) + " dims past the end of the stream");
   d.dims.resize(ndims);
-  for (auto& dim : d.dims) dim = r.u64();
-  const std::uint64_t n = d.element_count();
+  std::uint64_t n = 1;
+  for (auto& dim : d.dims) {
+    dim = r.u64();
+    V2D_REQUIRE(dim == 0 || n <= std::numeric_limits<std::uint64_t>::max() / dim,
+                "h5lite: element count of dataset '" + name + "' overflows");
+    n *= dim;
+  }
+  V2D_REQUIRE(n <= r.remaining() / 8,
+              "h5lite: dataset '" + name + "' declares " + std::to_string(n) +
+                  " elements past the end of the stream");
   if (d.type == Dataset::Type::F64) {
     d.f64.resize(n);
     for (auto& v : d.f64) v = r.f64();

@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/isa.hpp"
 #include "support/error.hpp"
@@ -38,7 +39,7 @@ namespace v2d::vla {
 ///   Native    — the fast path: kernels run as raw-pointer loops the host
 ///               compiler can auto-vectorize, and the recording is produced
 ///               analytically from closed-form KernelCounts formulas
-///               (memoized per Context).  Results and counts are
+///               (memoized per fork family).  Results and counts are
 ///               bit-identical to the interpreter by construction; the
 ///               equivalence suite (tests/test_vla_fastpath.cpp) proves it.
 enum class VlaExecMode : std::uint8_t {
@@ -73,7 +74,8 @@ inline std::atomic<std::uint64_t>& process_misses() {
 /// session contexts alike.  Per-family counters (Context::memo_hits /
 /// memo_misses) only see their own fork family, which made the totals a
 /// per-run report; long-lived multi-session processes (the farm) want the
-/// process-wide view, so every memo probe bumps these as well.
+/// process-wide view, so every memo probe is counted here as well (a
+/// front-entry hit when its context publishes, see Context::memo_counts).
 inline std::uint64_t process_memo_hits() {
   return detail::process_hits().load(std::memory_order_relaxed);
 }
@@ -130,6 +132,32 @@ public:
         count_cache_(std::make_shared<CountCache>()),
         dag_store_(std::make_shared<DagStore>()) {}
 
+  /// Copies share the source's fork family and recording but start with
+  /// an empty memo front entry and no unpublished hits; moves carry both.
+  Context(const Context& o)
+      : arch_(o.arch_), mode_(o.mode_), counts_(o.counts_),
+        count_cache_(o.count_cache_), dag_store_(o.dag_store_) {}
+  Context(Context&& o) noexcept
+      : arch_(o.arch_), mode_(o.mode_), counts_(o.counts_),
+        count_cache_(std::move(o.count_cache_)),
+        dag_store_(std::move(o.dag_store_)), front_key_(o.front_key_),
+        front_(std::exchange(o.front_, nullptr)),
+        front_hits_(std::exchange(o.front_hits_, 0)) {}
+  /// Publishes this context's pending hits to its old family first.
+  Context& operator=(Context o) noexcept {
+    publish_hits();
+    arch_ = o.arch_;
+    mode_ = o.mode_;
+    counts_ = o.counts_;
+    count_cache_ = std::move(o.count_cache_);
+    dag_store_ = std::move(o.dag_store_);
+    front_key_ = o.front_key_;
+    front_ = std::exchange(o.front_, nullptr);
+    front_hits_ = std::exchange(o.front_hits_, 0);
+    return *this;
+  }
+  ~Context() { publish_hits(); }
+
   unsigned lanes() const { return arch_.lanes(); }
   const VectorArch& arch() const { return arch_; }
 
@@ -159,13 +187,25 @@ public:
 
   /// Memoized analytic-count lookup.  `key` identifies (kernel shape, n);
   /// the factory runs once per distinct key and its result is cached for
-  /// the lifetime of this Context *and all its forks*, so steady-state
-  /// solver iterations pay a single hash probe per kernel call instead of
-  /// per-op recording.  The cache is read-mostly and shared across the
-  /// fork family; a shared_mutex makes concurrent rank tasks safe.  A
-  /// duplicate concurrent miss just recomputes the same deterministic
-  /// value, and returned references stay valid because unordered_map
-  /// never relocates elements.
+  /// the lifetime of this Context *and all its forks* (the fork family),
+  /// so steady-state solver iterations pay one probe per kernel call per
+  /// tile row instead of per-op recording.
+  ///
+  /// Each Context keeps a private front entry: the last key it probed and
+  /// a pointer to that key's entry in the family's shared map.  A probe
+  /// that matches the front takes no lock and writes only this Context,
+  /// so rank tasks on different host threads never share a cache line on
+  /// the hit path.  The pointer stays valid because map entries are never
+  /// erased and unordered_map never relocates a node, across later
+  /// inserts and rehashes alike.  Copies start with an empty front, so a
+  /// Context can never serve an entry from another family's map.
+  ///
+  /// Any other probe takes the family's shared_mutex: a hit there counts
+  /// at once, a miss runs the factory and inserts under the exclusive
+  /// lock (a duplicate concurrent miss recomputes the same deterministic
+  /// value).  Front hits are counted privately and published to the
+  /// family and process counters by take_counts(), memo_hits() and the
+  /// destructor.
   ///
   /// The key space is partitioned by producer so a Context shared across
   /// farm jobs running different --fuse modes can never read a count
@@ -176,6 +216,10 @@ public:
   /// (fusion::GroupProgram::sig) in fixed registration order.
   template <typename Factory>
   const sim::KernelCounts& memo_counts(std::uint64_t key, Factory&& make) {
+    if (front_ != nullptr && front_key_ == key) {
+      ++front_hits_;
+      return *front_;
+    }
     CountCache& cache = *count_cache_;
     {
       std::shared_lock<std::shared_mutex> lk(cache.mu);
@@ -183,23 +227,26 @@ public:
       if (it != cache.map.end()) {
         cache.hits.fetch_add(1, std::memory_order_relaxed);
         detail::process_hits().fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+        return set_front(key, it->second);
       }
     }
     cache.misses.fetch_add(1, std::memory_order_relaxed);
     detail::process_misses().fetch_add(1, std::memory_order_relaxed);
     sim::KernelCounts made = make();
     std::unique_lock<std::shared_mutex> lk(cache.mu);
-    return cache.map.try_emplace(key, made).first->second;
+    return set_front(key, cache.map.try_emplace(key, made).first->second);
   }
 
   /// Analytic-count memo cache statistics, accumulated across this context
-  /// and all its forks for the lifetime of the fork family.  A steady-state
-  /// native-mode run should be almost all hits; the miss count bounds how
-  /// many distinct (shape, n) formulas were ever evaluated.  Exposed so
-  /// perfmon can report fast-path recording overhead (see
-  /// perfmon::MemoCacheStats).
+  /// and all its forks for the lifetime of the fork family.  Exact once
+  /// every fork that probed has committed (take_counts) or been destroyed;
+  /// this context's own front hits are published by the call itself.  A
+  /// steady-state native-mode run should be almost all hits; the miss
+  /// count bounds how many distinct (shape, n) formulas were ever
+  /// evaluated.  Exposed so perfmon can report fast-path recording
+  /// overhead (see perfmon::MemoCacheStats).
   std::uint64_t memo_hits() const {
+    publish_hits();
     return count_cache_->hits.load(std::memory_order_relaxed);
   }
   std::uint64_t memo_misses() const {
@@ -220,8 +267,11 @@ public:
     counts_.bytes_written += bytes_written;
   }
 
-  /// Take and reset the accumulated recording.
+  /// Take and reset the accumulated recording.  Also publishes this
+  /// context's front-entry memo hits (see memo_counts), so the family
+  /// counters are exact after every ExecContext::commit.
   sim::KernelCounts take_counts() {
+    publish_hits();
     sim::KernelCounts out = counts_;
     counts_ = sim::KernelCounts{};
     return out;
@@ -411,8 +461,25 @@ private:
     counts_.record(c, active);
   }
 
+  const sim::KernelCounts& set_front(std::uint64_t key,
+                                     const sim::KernelCounts& entry) {
+    front_key_ = key;
+    front_ = &entry;
+    return entry;
+  }
+
+  /// Add the front hits counted since the last publish to the family and
+  /// process counters.
+  void publish_hits() const {
+    if (front_hits_ == 0) return;
+    count_cache_->hits.fetch_add(front_hits_, std::memory_order_relaxed);
+    detail::process_hits().fetch_add(front_hits_, std::memory_order_relaxed);
+    front_hits_ = 0;
+  }
+
   // Fast-path memo: (kernel shape, n) -> analytic counts.  Shared across
-  // fork()ed contexts; read-mostly, guarded for rank-parallel execution.
+  // fork()ed contexts; entries are never erased, so a front-entry pointer
+  // into `map` stays valid for the family's lifetime.
   struct CountCache {
     std::shared_mutex mu;
     std::unordered_map<std::uint64_t, sim::KernelCounts> map;
@@ -430,6 +497,10 @@ private:
   sim::KernelCounts counts_;
   std::shared_ptr<CountCache> count_cache_;
   std::shared_ptr<DagStore> dag_store_;
+  // Private memo front entry (see memo_counts) and its unpublished hits.
+  std::uint64_t front_key_ = 0;
+  const sim::KernelCounts* front_ = nullptr;
+  mutable std::uint64_t front_hits_ = 0;
 };
 
 }  // namespace v2d::vla

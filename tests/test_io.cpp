@@ -87,6 +87,61 @@ TEST(H5Lite, TrailingBytesRejected) {
   EXPECT_THROW(H5File::deserialize(bytes), Error);
 }
 
+/// Byte offset of the ndims field of the first root dataset when it is
+/// named "rho": magic, version, nattrs, ndatasets, name length, "rho", type.
+constexpr std::size_t kRhoNdimsAt = 4 + 4 + 4 + 4 + 4 + 3 + 1;
+
+/// A serialized file whose root holds one empty dataset "rho" with `ndims`
+/// zero extents, then each extent patched to `dims[i]`.  No element bytes
+/// follow, so the stream is only valid while the extents multiply to 0.
+std::vector<std::uint8_t> patched_dims_stream(
+    const std::vector<std::uint64_t>& dims) {
+  H5File f;
+  f.root().write("rho", std::span<const double>(),
+                 std::vector<std::uint64_t>(dims.size(), 0));
+  auto bytes = f.serialize();
+  const std::size_t first_dim = kRhoNdimsAt + 4;
+  for (std::size_t i = 0; i < dims.size(); ++i)
+    for (int b = 0; b < 8; ++b)
+      bytes[first_dim + 8 * i + b] =
+          static_cast<std::uint8_t>(dims[i] >> (8 * b));
+  return bytes;
+}
+
+/// The what() of the v2d::Error that deserialize throws, or "" if it
+/// accepts the stream.  Any other exception fails the calling test.
+std::string rejection(const std::vector<std::uint8_t>& bytes) {
+  try {
+    (void)H5File::deserialize(bytes);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(H5Lite, OverflowingElementCountRejected) {
+  ASSERT_EQ(rejection(patched_dims_stream({0, 0})), "");
+  // 2^33 * 2^33 wraps to 0 in 64 bits.
+  const std::string why =
+      rejection(patched_dims_stream({1ull << 33, 1ull << 33}));
+  EXPECT_NE(why.find("overflows"), std::string::npos) << why;
+  EXPECT_NE(why.find("rho"), std::string::npos) << why;
+}
+
+TEST(H5Lite, ElementCountBeyondStreamRejectedBeforeAllocation) {
+  const std::string why = rejection(patched_dims_stream({1ull << 40}));
+  EXPECT_NE(why.find("past the end"), std::string::npos) << why;
+  EXPECT_NE(why.find("rho"), std::string::npos) << why;
+}
+
+TEST(H5Lite, DimCountBeyondStreamRejectedBeforeAllocation) {
+  auto bytes = patched_dims_stream({0});
+  for (int b = 0; b < 4; ++b) bytes[kRhoNdimsAt + b] = 0xff;
+  const std::string why = rejection(bytes);
+  EXPECT_NE(why.find("4294967295 dims"), std::string::npos) << why;
+  EXPECT_NE(why.find("rho"), std::string::npos) << why;
+}
+
 TEST(H5Lite, SaveAndLoadFile) {
   const std::string path = ::testing::TempDir() + "/h5lite_test.h5l";
   {

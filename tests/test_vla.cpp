@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -212,6 +213,172 @@ TEST_P(VlSweep, StripMineCoversEveryIndexOnce) {
 INSTANTIATE_TEST_SUITE_P(AllVectorLengths, VlSweep,
                          ::testing::Values(128u, 256u, 384u, 512u, 1024u,
                                            2048u));
+
+// --- count memo: private front entry -------------------------------------
+
+/// A recording whose content names the key it was made for, so a test can
+/// tell which entry (and which family's entry) a probe returned.
+sim::KernelCounts counts_for(std::uint64_t key, std::uint64_t family = 0) {
+  sim::KernelCounts c;
+  c.bytes_read = key;
+  c.bytes_written = family;
+  return c;
+}
+
+/// The address the family's shared map holds for `key`: a fresh fork has
+/// an empty front entry, so its first probe reads the map itself.
+const sim::KernelCounts* map_entry(const Context& family, std::uint64_t key) {
+  Context probe = family.fork();
+  return &probe.memo_counts(key, [&] { return counts_for(key); });
+}
+
+class MemoFrontThreads : public ::testing::TestWithParam<int> {};
+
+/// Forks of one family probe concurrently in runs of repeated keys (front
+/// hits), key switches (shared-map hits) and per-thread keys (misses).
+/// After the join every probe is counted exactly once, in the family and
+/// in the process counters, and every returned reference is the map's.
+TEST_P(MemoFrontThreads, CountsEveryProbeAndReturnsMapEntries) {
+  const int nthreads = GetParam();
+  constexpr std::uint64_t kShared = 8;
+  constexpr int kProbes = 20000;
+  Context family(VectorArch(512), VlaExecMode::Native);
+  std::vector<const sim::KernelCounts*> want(kShared);
+  for (std::uint64_t k = 0; k < kShared; ++k) want[k] = map_entry(family, k);
+
+  const std::uint64_t hits0 = family.memo_hits();
+  const std::uint64_t misses0 = family.memo_misses();
+  const std::uint64_t phits0 = process_memo_hits();
+  const std::uint64_t pmisses0 = process_memo_misses();
+  std::vector<int> wrong(nthreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < nthreads; ++t) {
+    threads.emplace_back([&, t] {
+      Context ctx = family.fork();
+      for (int i = 0; i < kProbes; ++i) {
+        // Runs of 7 on one shared key; every 50th probe a thread-private
+        // key that no other thread ever asks for.
+        const bool own = i % 50 == 49;
+        const std::uint64_t key =
+            own ? 1000 + static_cast<std::uint64_t>(t) * kProbes + i
+                : static_cast<std::uint64_t>(i / 7 + t) % kShared;
+        const sim::KernelCounts& got =
+            ctx.memo_counts(key, [&] { return counts_for(key); });
+        if (got.bytes_read != key || (!own && &got != want[key])) ++wrong[t];
+        // Commit points publish mid-run; destruction publishes the hits
+        // after the last one.
+        if (i % 1000 == 500) (void)ctx.take_counts();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const std::uint64_t probes =
+      static_cast<std::uint64_t>(nthreads) * kProbes;
+  const std::uint64_t own_keys = probes / 50;
+  EXPECT_EQ(family.memo_misses() - misses0, own_keys);
+  EXPECT_EQ(family.memo_hits() - hits0 + family.memo_misses() - misses0,
+            probes);
+  EXPECT_EQ(process_memo_hits() - phits0 + process_memo_misses() - pmisses0,
+            probes);
+  for (int t = 0; t < nthreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+  for (std::uint64_t k = 0; k < kShared; ++k)
+    EXPECT_EQ(map_entry(family, k), want[k]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, MemoFrontThreads, ::testing::Values(1, 2, 8));
+
+TEST(MemoFront, HitsPublishAtTakeCountsAndDestruction) {
+  Context family(VectorArch(512), VlaExecMode::Native);
+  const auto make = [] { return counts_for(7); };
+  (void)family.memo_counts(7, make);  // miss
+  {
+    Context child = family.fork();
+    for (int i = 0; i < 10; ++i) (void)child.memo_counts(7, make);
+    // The fork's first probe reads the map and counts at once; the other
+    // nine are front hits, private until a publication point.
+    EXPECT_EQ(family.memo_hits(), 1u);
+    (void)child.take_counts();
+    EXPECT_EQ(family.memo_hits(), 10u);
+    for (int i = 0; i < 5; ++i) (void)child.memo_counts(7, make);
+    EXPECT_EQ(child.memo_hits(), 15u);  // reading publishes its own hits
+    for (int i = 0; i < 3; ++i) (void)child.memo_counts(7, make);
+  }
+  EXPECT_EQ(family.memo_hits(), 18u);
+  EXPECT_EQ(family.memo_misses(), 1u);
+}
+
+/// Moves carry the front entry and the pending hits, which are then
+/// published exactly once.
+TEST(MemoFront, MovesCarryFrontAndPendingHitsOnce) {
+  Context family(VectorArch(512), VlaExecMode::Native);
+  const auto make = [] { return counts_for(3); };
+  (void)family.memo_counts(3, make);  // miss; family's own front
+  {
+    Context a = family.fork();
+    for (int i = 0; i < 3; ++i) (void)a.memo_counts(3, make);
+    EXPECT_EQ(family.memo_hits(), 1u);  // a's first probe read the map
+    Context b(std::move(a));
+    (void)b.memo_counts(3, make);  // the moved front: no map read
+    EXPECT_EQ(family.memo_hits(), 1u);
+    Context c = family.fork();
+    c = std::move(b);
+    (void)c.memo_counts(3, make);
+  }
+  // 1 map read + 2 + 1 + 1 front hits, none lost and none twice.
+  EXPECT_EQ(family.memo_hits(), 5u);
+}
+
+/// A front entry taken before another fork forces the map to rehash still
+/// returns the right recording from the map's own (unrelocated) node.
+TEST(MemoFront, SurvivesRehashByAnotherFork) {
+  Context family(VectorArch(512), VlaExecMode::Native);
+  Context a = family.fork();
+  const sim::KernelCounts* entry =
+      &a.memo_counts(42, [] { return counts_for(42); });
+  {
+    Context b = family.fork();
+    for (std::uint64_t k = 0; k < 1000; ++k)
+      (void)b.memo_counts(10'000 + k, [&] { return counts_for(10'000 + k); });
+  }
+  EXPECT_EQ(family.memo_misses(), 1001u);
+  int remade = 0;
+  const sim::KernelCounts& got = a.memo_counts(42, [&] {
+    ++remade;
+    return counts_for(0);
+  });
+  EXPECT_EQ(remade, 0);
+  EXPECT_EQ(&got, entry);
+  EXPECT_EQ(&got, map_entry(family, 42));
+  EXPECT_EQ(got.bytes_read, 42u);
+}
+
+/// Copies start with an empty front, so a context copy-assigned from a
+/// second family serves that family's entry, and hits pending from the
+/// first family are published there, not carried over.
+TEST(MemoFront, CopyAssignNeverServesOtherFamily) {
+  Context fam_a(VectorArch(512), VlaExecMode::Native);
+  Context fam_b(VectorArch(512), VlaExecMode::Native);
+  (void)fam_b.memo_counts(5, [] { return counts_for(5, 2); });
+  const sim::KernelCounts* b_entry = map_entry(fam_b, 5);
+
+  Context ctx = fam_a.fork();
+  for (int i = 0; i < 4; ++i)
+    (void)ctx.memo_counts(5, [] { return counts_for(5, 1); });
+  ctx = fam_b;
+  EXPECT_EQ(fam_a.memo_hits(), 3u);  // published by the assignment
+  const std::uint64_t b_hits = fam_b.memo_hits();
+  const sim::KernelCounts& got =
+      ctx.memo_counts(5, [] { return counts_for(5, 1); });
+  EXPECT_EQ(&got, b_entry);
+  EXPECT_EQ(got.bytes_written, 2u);
+  EXPECT_EQ(fam_b.memo_hits(), b_hits + 1);  // a map read, counted at once
+
+  // Copy construction starts empty too.
+  Context copy(ctx);
+  (void)copy.memo_counts(5, [] { return counts_for(5, 1); });
+  EXPECT_EQ(fam_b.memo_hits(), b_hits + 2);
+}
 
 }  // namespace
 }  // namespace v2d::vla
