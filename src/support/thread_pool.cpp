@@ -1,5 +1,7 @@
 #include "support/thread_pool.hpp"
 
+#include <chrono>
+
 namespace v2d {
 
 namespace {
@@ -13,9 +15,34 @@ int default_host_threads() {
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Poll `ready` for up to ThreadPool::kSpinWindow when `enabled`; returns
+/// its last value.  Callers still block on their condition variable when
+/// this returns false, so the spin only ever shortens a wait.
+template <typename Ready>
+bool spin_until(bool enabled, Ready ready) {
+  if (!enabled) return ready();
+  const auto end = std::chrono::steady_clock::now() + ThreadPool::kSpinWindow;
+  for (unsigned i = 1;; ++i) {
+    if (ready()) return true;
+    cpu_relax();
+    if (i % 32 == 0 && std::chrono::steady_clock::now() >= end)
+      return ready();
+  }
+}
+
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) : size_(threads < 1 ? 1 : threads) {
+ThreadPool::ThreadPool(int threads)
+    : size_(threads < 1 ? 1 : threads),
+      spin_(size_ <= default_host_threads()) {
   workers_.reserve(static_cast<std::size_t>(size_ - 1));
   for (int t = 0; t + 1 < size_; ++t)
     workers_.emplace_back([this] { worker_loop(); });
@@ -25,6 +52,7 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
+    posted_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_all();
   for (auto& w : workers_) w.join();
@@ -51,15 +79,24 @@ void ThreadPool::execute(Job& job) {
 }
 
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;  // posted_ when this worker last took the lock
   for (;;) {
+    spin_until(spin_, [&] {
+      return posted_.load(std::memory_order_acquire) != seen;
+    });
     std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lk(mu_);
       wake_cv_.wait(lk, [&] {
         return stop_ ||
-               (job_ && job_->next.load(std::memory_order_relaxed) < job_->n);
+               (job_ && job_->next.load(std::memory_order_relaxed) < job_->n) ||
+               (spin_ && posted_.load(std::memory_order_relaxed) != seen);
       });
       if (stop_) return;
+      seen = posted_.load(std::memory_order_relaxed);
+      // The caller may have claimed every index already: spin again.
+      if (!job_ || job_->next.load(std::memory_order_relaxed) >= job_->n)
+        continue;
       job = job_;
     }
     execute(*job);
@@ -76,6 +113,7 @@ std::shared_ptr<ThreadPool::Job> ThreadPool::post(
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = job;
+    posted_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_all();
   // Wait (workers are idle, so briefly) until every index has been
@@ -115,9 +153,13 @@ void ThreadPool::run(int n, const std::function<void(int)>& fn) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = job;
+    posted_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_all();
   execute(*job);  // the calling thread is a pool lane too
+  spin_until(spin_, [&] {
+    return job->remaining.load(std::memory_order_acquire) == 0;
+  });
   std::unique_lock<std::mutex> lk(mu_);
   done_cv_.wait(lk, [&] {
     return job->remaining.load(std::memory_order_acquire) == 0;

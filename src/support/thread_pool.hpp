@@ -10,9 +10,20 @@
 /// fields, recordings and simulated clocks — the pool is purely a host
 /// wall-clock optimization.  Collectives (ExecModel::exchange/allreduce)
 /// are serial barrier points and must stay outside parallel regions.
+///
+/// Waiting: an idle worker, and a caller waiting for the last index of
+/// its run(), first spin for up to kSpinWindow and only then block on a
+/// condition variable.  Kernels called back to back (one fork/join per
+/// kernel call on rank-parallel runs) therefore find the workers awake
+/// instead of paying a futex wake-up per call, whose latency on a shared
+/// or virtualized host is both large and unsteady.
+/// A pool with more lanes than hardware threads never spins, so
+/// oversubscribed pools do not burn the cores their own lanes need.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,6 +42,9 @@ public:
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const { return size_; }
+
+  /// How long an idle lane spins before it blocks (see the file comment).
+  static constexpr std::chrono::microseconds kSpinWindow{50};
 
   /// Run fn(0) .. fn(n-1), each index exactly once, distributed over the
   /// pool's lanes.  Blocks until every index has completed; the first
@@ -72,6 +86,10 @@ private:
   std::condition_variable done_cv_;
   std::shared_ptr<Job> job_;
   bool stop_ = false;
+  /// Bumped under mu_ whenever job_ or stop_ changes, so a spinning
+  /// worker can see new work without taking the lock.
+  std::atomic<std::uint64_t> posted_{0};
+  bool spin_ = false;  ///< size_ <= hardware threads
   std::vector<std::thread> workers_;
 };
 

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "support/dd.hpp"
 #include "support/error.hpp"
@@ -11,6 +16,7 @@
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 #include "support/units.hpp"
 
 namespace v2d {
@@ -229,6 +235,33 @@ TEST(DdAccumulator, MergePartials) {
   b.add(xs[4]);
   a.add(b);
   EXPECT_DOUBLE_EQ(whole.value(), a.value());
+}
+
+// --- thread pool waits --------------------------------------------------------
+
+/// Back-to-back regions find the workers still spinning (at most as many
+/// lanes as hardware threads) or asleep (more lanes than that); either way
+/// every index of every region runs exactly once, regions whose indices
+/// the caller claims alone leave the workers waiting for the next one,
+/// and a pool torn down right after a region joins its workers.
+TEST(ThreadPoolWait, BackToBackRegionsSpinningOrBlocking) {
+  const int hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const int lanes : {2, hw, hw + 2}) {
+    for (int round = 0; round < 20; ++round) {
+      ThreadPool pool(lanes);
+      for (int region = 0; region < 200; ++region) {
+        const int n = 1 + region % 7;
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+        pool.run(n, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+        for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+      }
+      std::atomic<int> posted{0};
+      auto job = pool.post(lanes - 1, [&](int) { posted++; });
+      pool.wait(job);
+      EXPECT_EQ(posted.load(), lanes - 1);
+    }
+  }
 }
 
 }  // namespace
