@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << '\n' << opt.usage("bench_fig1");
     return 1;
   }
-  const int nx1 = static_cast<int>(opt.get_int("nx1"));
-  const int nx2 = static_cast<int>(opt.get_int("nx2"));
+  const int nx1 = opt.get_int<int>("nx1");
+  const int nx2 = opt.get_int<int>("nx2");
   const long block = opt.get_int("block");
 
   grid::Grid2D g(nx1, nx2, -1.0, 1.0, -0.5, 0.5);

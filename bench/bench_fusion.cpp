@@ -249,8 +249,8 @@ int main(int argc, char** argv) {
   }
   const std::string precond = opt.get("precond");
   const double tol = opt.get_double("tol");
-  const int max_iter = static_cast<int>(opt.get_int("max-iter"));
-  const int gate_size = static_cast<int>(opt.get_int("gate-size"));
+  const int max_iter = opt.get_int<int>("max-iter");
+  const int gate_size = opt.get_int<int>("gate-size");
   const double gate_speedup = opt.get_double("gate-speedup");
 
   std::vector<Row> rows;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << '\n' << opt.usage("bench_ganged");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
+  const int steps = opt.get_int<int>("steps");
 
   TableWriter table(
       "Ablation A — ganged vs classic BiCGSTAB reductions (Cray profile)");

@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << '\n' << opt.usage("bench_kernels_native");
     return 1;
   }
-  const auto bits = static_cast<unsigned>(opt.get_int("vl"));
+  const auto bits = opt.get_int<unsigned>("vl");
   const double min_ms = opt.get_double("min-ms");
 
   std::vector<std::size_t> sizes;

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
         linalg::CgSolver cg(ws);
         linalg::SolveOptions sopt;
         sopt.rel_tol = opt.get_double("tol");
-        sopt.max_iterations = static_cast<int>(opt.get_int("max-iter"));
+        sopt.max_iterations = opt.get_int<int>("max-iter");
         x.fill(ctx, 0.0);
         const auto stats = cg.solve(ctx, A, *M, x, rhs, sopt);
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << '\n' << opt.usage("bench_precond");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
+  const int steps = opt.get_int<int>("steps");
 
   TableWriter table("Ablation B — preconditioner choice (Cray profile)");
   table.set_columns({"preconditioner", "iters/solve", "precond (s)",

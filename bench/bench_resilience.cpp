@@ -132,12 +132,12 @@ int main(int argc, char** argv) {
   }
 
   core::RunConfig cfg;
-  cfg.nx1 = static_cast<int>(opt.get_int("nx1"));
-  cfg.nx2 = static_cast<int>(opt.get_int("nx2"));
-  cfg.steps = static_cast<int>(opt.get_int("steps"));
+  cfg.nx1 = opt.get_int<int>("nx1");
+  cfg.nx2 = opt.get_int<int>("nx2");
+  cfg.steps = opt.get_int<int>("steps");
   cfg.compilers = {"cray"};
   cfg.host_threads = 0;
-  const int repeats = std::max(1, static_cast<int>(opt.get_int("repeats")));
+  const int repeats = std::max(1, opt.get_int<int>("repeats"));
 
   // --- guard overhead --------------------------------------------------------
   // Auto-scale the workload: double the step count until the unguarded

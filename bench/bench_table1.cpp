@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << '\n' << opt.usage("bench_table1");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
+  const int steps = opt.get_int<int>("steps");
   const bool quick = opt.get("rows") == "quick";
   const double scale = 100.0 / steps;
 
@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   for (const TopoRow& row : kRows) {
     if (quick && row.np != 1 && row.np != 20 && row.np != 50) continue;
     core::RunConfig cfg;
-    cfg.nx1 = static_cast<int>(opt.get_int("nx1"));
-    cfg.nx2 = static_cast<int>(opt.get_int("nx2"));
+    cfg.nx1 = opt.get_int<int>("nx1");
+    cfg.nx2 = opt.get_int<int>("nx2");
     cfg.steps = steps;
     cfg.nprx1 = row.nx1;
     cfg.nprx2 = row.nx2;

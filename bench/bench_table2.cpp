@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   }
 
   const long reps = opt.get_int("reps");
-  const int nx1 = static_cast<int>(opt.get_int("nx1"));
-  const int nx2 = static_cast<int>(opt.get_int("nx2"));
+  const int nx1 = opt.get_int<int>("nx1");
+  const int nx2 = opt.get_int<int>("nx2");
 
   const auto base = compiler::find_profile(opt.get("compiler"));
   std::vector<compiler::CodegenProfile> profiles = {base.without_sve(), base};
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   grid::Decomposition dec(g, mpisim::CartTopology(1, 1));
   mpisim::ExecModel em(sim::MachineSpec::a64fx(), profiles, 1);
   linalg::ExecContext ctx(
-      vla::VectorArch(static_cast<unsigned>(opt.get_int("vector-bits"))), &em,
+      vla::VectorArch(opt.get_int<unsigned>("vector-bits")), &em,
       vla::VlaExecMode::Native);
 
   Rng rng(20220727);  // the paper's arXiv date

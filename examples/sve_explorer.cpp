@@ -85,11 +85,11 @@ int main(int argc, char** argv) {
   }
 
   const std::string kernel = opt.get("kernel");
-  const auto bits = static_cast<unsigned>(opt.get_int("bits"));
+  const auto bits = opt.get_int<unsigned>("bits");
   const auto n = static_cast<std::size_t>(opt.get_int("n"));
   const auto profile = compiler::find_profile(opt.get("compiler"));
   const auto counts = record_kernel(kernel, bits, n);
-  std::uint64_t ws = static_cast<std::uint64_t>(opt.get_int("ws"));
+  std::uint64_t ws = opt.get_int<std::uint64_t>("ws");
   if (ws == 0) ws = 7 * n * sizeof(double);
 
   std::cout << "kernel " << kernel << " at VL " << bits << " bits, n = " << n

@@ -260,20 +260,20 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
     require_same_shape(*pr.x, *pr.y);
     require_same_shape(*pr.x, first);
   }
-  // Compensated accumulation makes the result independent of the tiling
-  // (see support/dd.hpp); the VLA recording below still prices the
-  // ordinary strip-mined DPROD the hardware would run.  The compensated
-  // sum is the result in both exec modes, so on the fast path the
-  // interpreted DPROD is skipped entirely and only its analytic recording
-  // is kept — execution and recording fully decoupled.  Ranks accumulate
-  // into private partials merged in rank order afterwards, so the result
-  // is also independent of the host-thread count.
+  // Compensated lane accumulation (support/dd.hpp) fixes the arithmetic
+  // of the result; the VLA recording below still prices the ordinary
+  // strip-mined DPROD the hardware would run.  The compensated sum is the
+  // result in both exec modes, so on the fast path the interpreted DPROD
+  // is skipped entirely and only its analytic recording is kept —
+  // execution and recording fully decoupled.  Ranks accumulate into
+  // private lane sets collapsed in rank order afterwards, so the result is
+  // also independent of the host-thread count.
   for (const DotPair& pr : pairs) dag_op(ctx, "dot", first, {pr.x, pr.y}, {});
   const bool fast = ctx.vctx.native();
   const int nranks = first.nranks();
-  std::vector<std::vector<DdAccumulator>> partial(
-      static_cast<std::size_t>(nranks),
-      std::vector<DdAccumulator>(pairs.size()));
+  const std::size_t npairs = pairs.size();
+  // One flat buffer: rank r's lane set for pair k is partial[r·npairs + k].
+  std::vector<DdLanes> partial(static_cast<std::size_t>(nranks) * npairs);
   // Per-rank partial body, shared by the barrier and pipelined paths.
   // Every capture outlives the pipelined tasks: wait(combine) below
   // returns only after all partial tasks (the combine's predecessors)
@@ -281,7 +281,8 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   auto partial_body = [&partial, &first, pairs, fast](int r,
                                                       ExecContext& rctx) {
     const grid::TileExtent& e = first.field().decomp().extent(r);
-    auto& acc = partial[static_cast<std::size_t>(r)];
+    const auto n = static_cast<std::size_t>(e.ni);
+    DdLanes* acc = partial.data() + static_cast<std::size_t>(r) * pairs.size();
     for (std::size_t k = 0; k < pairs.size(); ++k) {
       for (int s = 0; s < first.ns(); ++s) {
         grid::TileView xv =
@@ -293,16 +294,11 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
             linalg::dprod_record_only(rctx.vctx,
                                       static_cast<std::uint64_t>(e.ni));
           } else {
-            (void)linalg::dprod(
-                rctx.vctx,
-                std::span<const double>(xv.row(lj),
-                                        static_cast<std::size_t>(e.ni)),
-                std::span<const double>(yv.row(lj),
-                                        static_cast<std::size_t>(e.ni)));
+            (void)linalg::dprod(rctx.vctx,
+                                std::span<const double>(xv.row(lj), n),
+                                std::span<const double>(yv.row(lj), n));
           }
-          const double* xr = xv.row(lj);
-          const double* yr = yv.row(lj);
-          for (int li = 0; li < e.ni; ++li) acc[k].add(xr[li] * yr[li]);
+          acc[k].dot_row(xv.row(lj), yv.row(lj), n);
         }
       }
     }
@@ -311,14 +307,15 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
     rctx.commit(r, KernelFamily::Dprod, "dprod", elements,
                 first.working_set(r, 2 * static_cast<int>(pairs.size())));
   };
-  // Rank-ordered compensated merge — identical arithmetic on both paths.
-  std::vector<double> out(pairs.size());
-  auto merge = [&partial, &out, pairs, nranks] {
-    std::vector<DdAccumulator> totals(pairs.size());
-    for (int r = 0; r < nranks; ++r)
-      for (std::size_t k = 0; k < pairs.size(); ++k)
-        totals[k].add(partial[static_cast<std::size_t>(r)][k]);
-    for (std::size_t k = 0; k < pairs.size(); ++k) out[k] = totals[k].value();
+  // Rank-ordered collapse — identical arithmetic on both paths.
+  std::vector<double> out(npairs);
+  auto merge = [&partial, &out, npairs, nranks] {
+    for (std::size_t k = 0; k < npairs; ++k) {
+      DdAccumulator total;
+      for (int r = 0; r < nranks; ++r)
+        partial[static_cast<std::size_t>(r) * npairs + k].collapse_into(total);
+      out[k] = total.value();
+    }
   };
   task_graph::Session* ses = task_graph::current();
   if (ses != nullptr && !task_graph::in_task()) {

@@ -9,6 +9,22 @@
 
 namespace v2d::linalg::fusion {
 
+// --- reduction tails ----------------------------------------------------------
+
+namespace {
+
+/// The compensated dots of a group, over the operands' memory images after
+/// the sweep (the planner guarantees both operands are inputs or stores).
+/// Shared by both backends, so their reductions are one code path.
+void run_tails(const GroupProgram& g, const Bind& b) {
+  for (std::uint8_t t = 0; t < g.ntails; ++t) {
+    const DotTail& tl = g.tail[t];
+    b.acc[tl.acc]->dot_row(b.slot[tl.slot_a], b.slot[tl.slot_b], b.n);
+  }
+}
+
+}  // namespace
+
 // --- interpreter backend ------------------------------------------------------
 
 void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
@@ -80,20 +96,13 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
 
   if (g.naccs > 0) {
     // The lane-accumulated values are the hardware's; the returned results
-    // are the compensated element-order tails below, identical in both exec
-    // modes (and to the unfused dot path).
+    // are the compensated tails, identical in both exec modes (and to the
+    // unfused dot path).
     const Predicate full = ctx.ptrue();
     for (std::uint8_t i = 0; i < g.npre; ++i)
       if (g.pre[i].k == StepKind::DupAcc)
         (void)ctx.reduce_add(full, acc[g.pre[i].dst]);
-    for (std::uint8_t t = 0; t < g.ntails; ++t) {
-      const DotTail& tl = g.tail[t];
-      DdAccumulator a = *b.acc[tl.acc];
-      const double* pa = b.slot[tl.slot_a];
-      const double* pb = b.slot[tl.slot_b];
-      for (std::size_t i = 0; i < b.n; ++i) a.add(pa[i] * pb[i]);
-      *b.acc[tl.acc] = a;
-    }
+    run_tails(g, b);
   }
 }
 
@@ -108,8 +117,7 @@ inline void stamp_pre(const double* sc, double* r) {
 }
 
 template <GroupProgram G, std::size_t I>
-inline void stamp_step(double* const* p, double* r, DdAccumulator* dd,
-                       std::ptrdiff_t i) {
+inline void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
   constexpr Step S = G.step[I];
   if constexpr (S.k == StepKind::Load) {
     r[S.dst] = p[S.a][i];
@@ -129,28 +137,23 @@ inline void stamp_step(double* const* p, double* r, DdAccumulator* dd,
     r[S.dst] = r[S.a] - r[S.b];
   } else if constexpr (S.k == StepKind::Store) {
     p[S.dst][i] = r[S.a];
-  } else if constexpr (S.k == StepKind::DotAcc) {
-    // The compensated chains accumulate through register-resident locals in
-    // step (= element) order; see native::hadamard_dot2 for the rationale.
-    dd[S.dst].add(r[S.a] * r[S.b]);
   }
+  // DotAcc is the interpreter's hardware recording; the native result
+  // comes from run_tails after the sweep.
 }
 
 /// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop.  Elementwise programs reduce to exactly
-/// the raw-pointer loops the hand-written native kernels used, so the host
-/// compiler auto-vectorizes them; dot programs interleave the compensated
-/// chains with the streaming sweep the same way the bespoke mixed loops
-/// did.  Register slots with compile-time-constant indices are scalarized
-/// by the compiler.
+/// into a flat per-element loop.  The loop body reduces to exactly the
+/// raw-pointer loops the hand-written native kernels used, so the host
+/// compiler auto-vectorizes it; fused dots run afterwards as lane-parallel
+/// tails over the cache-hot row.  Register slots with compile-time-constant
+/// indices are scalarized by the compiler.
 template <GroupProgram G>
 void stamp_exec(const Bind& b) {
   double* p[kMaxSlots];
   for (std::size_t s = 0; s < kMaxSlots; ++s) p[s] = b.slot[s];
   double sc[kMaxScalars];
   for (std::size_t s = 0; s < kMaxScalars; ++s) sc[s] = b.scal[s];
-  DdAccumulator dd[kMaxAccs];
-  for (std::size_t k = 0; k < G.naccs; ++k) dd[k] = *b.acc[k];
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(b.n);
   for (std::ptrdiff_t i = 0; i < n; ++i) {
     double r[kMaxRegs];
@@ -158,10 +161,10 @@ void stamp_exec(const Bind& b) {
       (stamp_pre<G, Pi>(sc, r), ...);
     }(std::make_index_sequence<std::size_t{G.npre}>{});
     [&]<std::size_t... Si>(std::index_sequence<Si...>) {
-      (stamp_step<G, Si>(p, r, dd, i), ...);
+      (stamp_step<G, Si>(p, r, i), ...);
     }(std::make_index_sequence<std::size_t{G.nsteps}>{});
   }
-  for (std::size_t k = 0; k < G.naccs; ++k) *b.acc[k] = dd[k];
+  run_tails(G, b);
 }
 
 using StampFn = void (*)(const Bind&);
@@ -323,7 +326,7 @@ void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
 
 void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
                    std::span<const double> r, std::span<double> z,
-                   DdAccumulator& rz, DdAccumulator& rr) {
+                   DdLanes& rz, DdLanes& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
   static constexpr Chain kChain = make_hadamard_dot2_chain();
@@ -341,7 +344,7 @@ void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
 void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
                           double a, std::span<const double> q,
                           std::span<double> r, std::span<double> z,
-                          DdAccumulator& rz, DdAccumulator& rr) {
+                          DdLanes& rz, DdLanes& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
               "hadamard_update_dot2: length mismatch");
@@ -375,7 +378,7 @@ void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cs, std::span<const double> cn,
                        const double* xc, const double* xs, const double* xn,
                        const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdAccumulator* dot,
+                       const double* wdot, DdLanes* dot,
                        std::span<double> y) {
   const std::size_t n = y.size();
   V2D_REQUIRE(cc.size() == n && cw.size() == n && ce.size() == n &&

@@ -12,8 +12,9 @@
 ///     cache under a signature-disjoint key space;
 ///   - both paths produce bit-identical results: elementwise steps evaluate
 ///     the same per-element expressions in the same association order, and
-///     fused dots accumulate through the caller's DdAccumulator in element
-///     order (rank partials stay rank-ordered at the call sites).
+///     fused dots accumulate through the caller's DdLanes by the lane rule
+///     of support/dd.hpp, as a tail over the row after the sweep (rank
+///     partials stay rank-ordered at the call sites).
 ///
 /// The convenience entry points below are the planner-generated composites:
 /// each plans its built-in chain at compile time and binds the operands.
@@ -36,7 +37,7 @@ namespace v2d::linalg::fusion {
 struct Bind {
   double* slot[kMaxSlots] = {};
   double scal[kMaxScalars] = {};
-  DdAccumulator* acc[kMaxAccs] = {};
+  DdLanes* acc[kMaxAccs] = {};
   std::size_t n = 0;
 };
 
@@ -73,13 +74,13 @@ void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
 /// z ← m ⊙ r with rz += Σ z·r and rr += Σ r·r folded into the sweep.
 void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
                    std::span<const double> r, std::span<double> z,
-                   DdAccumulator& rz, DdAccumulator& rr);
+                   DdLanes& rz, DdLanes& rr);
 
 /// r ← r + a·q folded into the precond+gang sweep.
 void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
                           double a, std::span<const double> q,
                           std::span<double> r, std::span<double> z,
-                          DdAccumulator& rz, DdAccumulator& rr);
+                          DdLanes& rz, DdLanes& rr);
 
 /// Fused stencil-row composites (residual / matvec+dot, optionally
 /// species-coupled) — same operand contract as linalg::stencil_row_fused.
@@ -88,7 +89,7 @@ void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cs, std::span<const double> cn,
                        const double* xc, const double* xs, const double* xn,
                        const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdAccumulator* dot,
+                       const double* wdot, DdLanes* dot,
                        std::span<double> y);
 
 }  // namespace v2d::linalg::fusion

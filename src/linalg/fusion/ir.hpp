@@ -22,8 +22,8 @@
 ///            a readable ghost on each side
 ///   Dot      acc += Σ src0·src1              (reduction tail; accumulates
 ///                                             through the caller's
-///                                             compensated DdAccumulator in
-///                                             element order)
+///                                             compensated DdLanes by
+///                                             the lane rule)
 ///
 /// The chain lists which slots are live-out (must reach memory).  Writes to
 /// other slots are temporaries the planner keeps in registers.

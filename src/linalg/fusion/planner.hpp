@@ -9,8 +9,8 @@
 ///     registers; temporaries never touch memory);
 ///   - elementwise → reduction tail: a Dot joins the sweep as a predicated
 ///     FMA chain plus one horizontal reduce in the group epilogue, and the
-///     numerical result is produced by the compensated (DdAccumulator)
-///     element-order tail over the operands' memory images — bit-identical
+///     numerical result is produced by the compensated (DdLanes) tail
+///     over the operands' memory images — bit-identical
 ///     to the unfused DPROD/dot_ganged path;
 ///   - copy-elision: a Copy whose source is register-resident lowers to a
 ///     bare store (or to nothing when the destination is not live-out);
@@ -64,8 +64,8 @@ struct Step {
   std::uint8_t c = 0;
 };
 
-/// Compensated element-order tail of one fused dot: after the sweep,
-/// acc[acc] += Σ slot[slot_a][i] · slot[slot_b][i] through a DdAccumulator.
+/// Compensated tail of one fused dot: after the sweep,
+/// acc[acc] += Σ slot[slot_a][i] · slot[slot_b][i] through a DdLanes.
 struct DotTail {
   std::uint8_t acc = 0;
   std::uint8_t slot_a = 0;

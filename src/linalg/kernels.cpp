@@ -200,7 +200,7 @@ void stencil_row_fused(Context& ctx, std::span<const double> cc,
                        std::span<const double> cs, std::span<const double> cn,
                        const double* xc, const double* xs, const double* xn,
                        const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdAccumulator* dot,
+                       const double* wdot, DdLanes* dot,
                        std::span<double> y) {
   fusion::stencil_row_fused(ctx, cc, cw, ce, cs, cn, xc, xs, xn, csp, xo,
                             bsub, wdot, dot, y);
@@ -251,7 +251,7 @@ void p_update(Context& ctx, std::span<const double> r, double b, double w,
 
 void hadamard_dot2(Context& ctx, std::span<const double> m,
                    std::span<const double> r, std::span<double> z,
-                   DdAccumulator& rz, DdAccumulator& rr) {
+                   DdLanes& rz, DdLanes& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
   if (ctx.native()) {
@@ -272,19 +272,13 @@ void hadamard_dot2(Context& ctx, std::span<const double> m,
   const Predicate full = ctx.ptrue();
   (void)ctx.reduce_add(full, acc1);
   (void)ctx.reduce_add(full, acc2);
-  DdAccumulator a0 = rz, a1 = rr;
-  for (std::size_t i = 0; i < n; ++i) {
-    a0.add(z[i] * r[i]);
-    a1.add(r[i] * r[i]);
-  }
-  rz = a0;
-  rr = a1;
+  rz.dot_row(z.data(), r.data(), n);
+  rr.dot_row(r.data(), r.data(), n);
 }
 
 void hadamard_update_dot2(Context& ctx, std::span<const double> m, double a,
                           std::span<const double> q, std::span<double> r,
-                          std::span<double> z, DdAccumulator& rz,
-                          DdAccumulator& rr) {
+                          std::span<double> z, DdLanes& rz, DdLanes& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
               "hadamard_update_dot2: length mismatch");
@@ -311,13 +305,8 @@ void hadamard_update_dot2(Context& ctx, std::span<const double> m, double a,
   const Predicate full = ctx.ptrue();
   (void)ctx.reduce_add(full, acc1);
   (void)ctx.reduce_add(full, acc2);
-  DdAccumulator a0 = rz, a1 = rr;
-  for (std::size_t i = 0; i < n; ++i) {
-    a0.add(z[i] * r[i]);
-    a1.add(r[i] * r[i]);
-  }
-  rz = a0;
-  rr = a1;
+  rz.dot_row(z.data(), r.data(), n);
+  rr.dot_row(r.data(), r.data(), n);
 }
 
 void coupling_row(Context& ctx, std::span<const double> csp, const double* xo,

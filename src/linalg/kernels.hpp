@@ -82,10 +82,10 @@ void coupling_row(vla::Context& ctx, std::span<const double> csp,
 // evaluates the same per-element expressions in the same association order
 // as the unfused sequence, so switching FuseMode changes the instruction
 // stream and the priced traffic but not one bit of the numerics.  Fused
-// reductions feed the caller's DdAccumulator (compensated, element order)
-// exactly like DistVector::dot_ganged, so the recorded stream is the
-// hardware composite (dot folded in as predicated FMAs + one horizontal
-// reduce) while the returned value stays tiling-independent.
+// reductions feed the caller's DdLanes (the compensated lane rule of
+// support/dd.hpp) exactly like DistVector::dot_ganged, so the recorded
+// stream is the hardware composite (dot folded in as predicated FMAs + one
+// horizontal reduce) while the returned value is the same in every mode.
 //
 // stencil_row_fused and daxpy2 are thin wrappers over planner-generated
 // groups (src/linalg/fusion/); the remaining composites keep hand-written
@@ -95,7 +95,7 @@ void coupling_row(vla::Context& ctx, std::span<const double> csp,
 /// `y`; the optional operands select the composite:
 ///   csp/xo  non-null — species coupling folded into the sweep
 ///   bsub    non-null — residual form, y ← bsub − (A·x) row
-///   wdot/dot non-null — MATVEC+DPROD, dot->add(w_i·y_i) per element
+///   wdot/dot non-null — MATVEC+DPROD, dot->dot_row(w, y) over the row
 ///     (`wdot == xc` is the CG p·Ap case: the center operand is reused in
 ///      registers, no extra load)
 /// `bsub` and `wdot` are mutually exclusive.
@@ -104,7 +104,7 @@ void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cs, std::span<const double> cn,
                        const double* xc, const double* xs, const double* xn,
                        const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdAccumulator* dot,
+                       const double* wdot, DdLanes* dot,
                        std::span<double> y);
 
 /// Fused CG twin update (DAXPY₂): x ← x + a·p and r ← r + b·q in one pass.
@@ -124,13 +124,13 @@ void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
 /// rr += Σ r·r folded into the sweep.
 void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
                    std::span<const double> r, std::span<double> z,
-                   DdAccumulator& rz, DdAccumulator& rr);
+                   DdLanes& rz, DdLanes& rr);
 
 /// The CG tail composite: the residual update r ← r + a·q folded into the
 /// precond+gang sweep (hadamard_dot2 over the updated residual).
 void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
                           double a, std::span<const double> q,
                           std::span<double> r, std::span<double> z,
-                          DdAccumulator& rz, DdAccumulator& rr);
+                          DdLanes& rz, DdLanes& rr);
 
 }  // namespace v2d::linalg

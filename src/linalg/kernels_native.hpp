@@ -93,11 +93,12 @@ void prolong_row_add(const double* cnear, const double* cfar,
 //
 // Each fused kernel keeps the unfused per-element expressions and
 // association order, so FuseMode::On reproduces the unfused trajectory
-// bit-for-bit; reductions accumulate through the caller's DdAccumulator
-// (compensated, order-fixed) exactly like DistVector::dot_ganged, so the
-// result stays tiling- and thread-count-independent.  The elementwise part
-// of every kernel is a plain loop the compiler can auto-vectorize; the
-// compensated dot tail is a separate serial loop over the (cache-hot) row.
+// bit-for-bit; reductions accumulate through the caller's DdLanes
+// (compensated, lane rule of support/dd.hpp) exactly like
+// DistVector::dot_ganged, so the result is the same in every mode and at
+// every thread count.  The elementwise part of every kernel is a plain loop
+// the compiler can auto-vectorize; the compensated dot is a lane-parallel
+// tail over the (cache-hot) row.
 
 // The fused stencil rows and DAXPY₂ are planner-generated now — their
 // native kernels are stamped from the fusion template set
@@ -113,14 +114,14 @@ void p_update(const double* r, double b, double w, const double* v, double* p,
               std::size_t n);
 
 /// Fused precond apply + 2-dot gang: z ← m ⊙ r, then rz += Σ z_i·r_i and
-/// rr += Σ r_i·r_i compensated in element order.
+/// rr += Σ r_i·r_i compensated by the lane rule.
 void hadamard_dot2(const double* m, const double* r, double* z, std::size_t n,
-                   DdAccumulator& rz, DdAccumulator& rr);
+                   DdLanes& rz, DdLanes& rr);
 
 /// The CG tail composite: r ← r + a·q folded into the precond+gang sweep
 /// (hadamard_dot2 over the updated residual).
 void hadamard_update_dot2(const double* m, double a, const double* q,
                           double* r, double* z, std::size_t n,
-                          DdAccumulator& rz, DdAccumulator& rr);
+                          DdLanes& rz, DdLanes& rr);
 
 }  // namespace v2d::linalg::native

@@ -19,7 +19,7 @@ namespace {
 /// Shared fused apply+2-dot sweep for the diagonal preconditioners:
 /// y ← m ⊙ x with {x·y, x·x} folded in — and, when `update_q` is given,
 /// the residual DAXPY x ← x + update_a·q leading the sweep (the CG tail
-/// composite).  Per-rank compensated partials merged in rank order
+/// composite).  Per-rank compensated lane sets collapsed in rank order
 /// (identical accumulation to dot_ganged), one ganged allreduce for the
 /// pair.
 void diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
@@ -36,7 +36,7 @@ void diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
     ctx.dag->op("dot", gn, {&y, &x}, {});
     ctx.dag->op("dot", gn, {&x, &x}, {});
   }
-  std::vector<std::array<DdAccumulator, 2>> partial(
+  std::vector<std::array<DdLanes, 2>> partial(
       static_cast<std::size_t>(nranks));
   par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec.extent(r);
@@ -85,9 +85,9 @@ void diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
   // One ganged allreduce for the {x·y, x·x} pair, as in dot_ganged.
   ctx.allreduce(2 * sizeof(double));
   DdAccumulator xy, xx;
-  for (int r = 0; r < nranks; ++r) {
-    xy.add(partial[static_cast<std::size_t>(r)][0]);
-    xx.add(partial[static_cast<std::size_t>(r)][1]);
+  for (const auto& p : partial) {
+    p[0].collapse_into(xy);
+    p[1].collapse_into(xx);
   }
   out[0] = xy.value();
   out[1] = xx.value();

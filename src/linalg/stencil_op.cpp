@@ -230,14 +230,14 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
   auto* self = const_cast<StencilOperator*>(this);
   auto* wv = const_cast<DistVector*>(w);
   const int nranks = dec_->nranks();
-  // Per-rank compensated partials merged in rank order below — the same
-  // accumulation dot_ganged performs, so the result is bit-identical to
-  // the unfused apply() + dot() and independent of the host-thread count.
-  std::vector<DdAccumulator> partial(static_cast<std::size_t>(nranks));
+  // Per-rank compensated lane sets collapsed in rank order below — the
+  // same accumulation dot_ganged performs, so the result is bit-identical
+  // to the unfused apply() + dot() and independent of the host-thread count.
+  std::vector<DdLanes> partial(static_cast<std::size_t>(nranks));
   par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec_->extent(r);
     const auto n = static_cast<std::size_t>(e.ni);
-    DdAccumulator& acc = partial[static_cast<std::size_t>(r)];
+    DdLanes& acc = partial[static_cast<std::size_t>(r)];
     for (int s = 0; s < ns_; ++s) {
       grid::TileView xv = xf.view(r, s);
       grid::TileView yv = y.field().view(r, s);
@@ -283,8 +283,7 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
   // The folded dot still pays its single global reduction.
   ctx.allreduce(sizeof(double));
   DdAccumulator total;
-  for (int r = 0; r < nranks; ++r)
-    total.add(partial[static_cast<std::size_t>(r)]);
+  for (const DdLanes& p : partial) p.collapse_into(total);
   return total.value();
 }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace v2d {
@@ -24,7 +25,14 @@ public:
 
   /// Typed getters (throw if the option was never registered).
   std::string get(const std::string& name) const;
-  long get_int(const std::string& name) const;
+  /// Integer value as T; throws v2d::Error naming the option when the text
+  /// is not an integer or the value overflows `long` or does not fit T.
+  template <typename T = long>
+  T get_int(const std::string& name) const {
+    const long v = parse_long(name);
+    if (!std::in_range<T>(v)) out_of_range(name);
+    return static_cast<T>(v);
+  }
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
@@ -45,6 +53,8 @@ private:
   };
   Spec& require_spec(const std::string& name);
   const Spec& require_spec(const std::string& name) const;
+  long parse_long(const std::string& name) const;
+  [[noreturn]] void out_of_range(const std::string& name) const;
 
   std::map<std::string, Spec> specs_;
   std::vector<std::string> order_;

@@ -133,7 +133,7 @@ TEST_P(FusedKernelSweep, HadamardDot2) {
   const auto m = random_vec(n(), rng), r = random_vec(n(), rng);
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  DdAccumulator rzi, rri, rzn, rrn;
+  DdLanes rzi, rri, rzn, rrn;
   hadamard_dot2(ci, m, r, zi, rzi, rri);
   hadamard_dot2(cx, m, r, zn, rzn, rrn);
   expect_bits_equal(zi, zn);
@@ -148,7 +148,7 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   auto ri = random_vec(n(), rng), rn = ri;
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  DdAccumulator rzi, rri, rzn, rrn;
+  DdLanes rzi, rri, rzn, rrn;
   hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
   hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
   expect_bits_equal(ri, rn);
@@ -163,7 +163,7 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   rr2 = random_vec(n(), rng);
   auto r_ref = rr2, r_fused = rr2;
   std::vector<double> z_ref(n()), z_fused(n());
-  DdAccumulator rz_f, rr_f;
+  DdLanes rz_f, rr_f;
   hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
   daxpy(plain, -0.6, q, r_ref);
   hadamard(plain, m, r_ref, z_ref);
@@ -215,7 +215,7 @@ TEST_P(FusedKernelSweep, StencilDotSelfAndOther) {
     for (const bool self : {true, false}) {
       std::vector<double> yi(n()), yn(n());
       Context ci = interp_ctx(), cx = native_ctx();
-      DdAccumulator di, dn;
+      DdLanes di, dn;
       const double* csp = coupled ? op.csp.data() : nullptr;
       const double* xo = coupled ? op.xo.data() : nullptr;
       const double* wi = self ? op.xc.data() + 1 : op.w.data();
@@ -294,7 +294,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // HadamardDot2 == HADAMARD ; compensated {z·r, r·r}.
   {
     std::vector<double> zf(n()), zr(n());
-    DdAccumulator rz, rr2;
+    DdLanes rz, rr2;
     hadamard_dot2(fused, cc, cw, zf, rz, rr2);
     hadamard(plain, cc, cw, zr);
     expect_bits_equal(zf, zr);
@@ -323,7 +323,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // Fused MATVEC+DPROD == STENCIL ; compensated w·y.
   {
     std::vector<double> yf(n()), yr(n());
-    DdAccumulator df;
+    DdLanes df;
     stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
                       op.xs.data(), op.xn.data(), nullptr, nullptr, nullptr,
                       op.w.data(), &df, yf);

@@ -25,6 +25,7 @@
 #include "linalg/dist_vector.hpp"
 #include "linalg/exec_context.hpp"
 #include "sim_capture.hpp"
+#include "support/dd.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -88,21 +89,12 @@ TEST(ThreadPoolTest, SetHostThreadsResizesGlobalPool) {
 
 // --- bit-identical contract ---------------------------------------------------
 
-/// Ganged inner products accumulate per-rank partials merged in rank
-/// order, so the value cannot depend on the host-thread count.
-TEST(RankParallelTest, DotGangedInvariantUnderThreadCount) {
-  const grid::Grid2D g(48, 24, -1.0, 1.0, -0.5, 0.5);
-  const grid::Decomposition d(g, mpisim::CartTopology(4, 2));
-  linalg::DistVector x(g, d, 2), y(g, d, 2);
-  Rng rng(42);
-  for (int j = 0; j < g.nx2(); ++j) {
-    for (int i = 0; i < g.nx1(); ++i) {
-      for (int s = 0; s < 2; ++s) {
-        x.field().gset(s, i, j, rng.uniform(-1.0, 1.0));
-        y.field().gset(s, i, j, rng.uniform(-1.0, 1.0));
-      }
-    }
-  }
+/// dot_ganged of {x·y, x·x} over random fields on an nx1×nx2 grid tiled
+/// px×py, at 1, 4 and 7 host threads; every thread count must return the
+/// same bits.  Returns the 1-thread result.
+std::vector<double> expect_dot_ganged_thread_invariant(
+    int nx1, int nx2, int px, int py, const linalg::DistVector& x,
+    const linalg::DistVector& y) {
   std::vector<double> reference;
   for (const int threads : {1, 4, 7}) {
     set_host_threads(threads);
@@ -114,12 +106,69 @@ TEST(RankParallelTest, DotGangedInvariantUnderThreadCount) {
     if (reference.empty()) {
       reference = out;
     } else {
-      ASSERT_EQ(out.size(), reference.size());
-      for (std::size_t k = 0; k < out.size(); ++k)
-        EXPECT_EQ(out[k], reference[k]) << "threads=" << threads;
+      EXPECT_EQ(out.size(), reference.size());
+      for (std::size_t k = 0; k < out.size() && k < reference.size(); ++k)
+        EXPECT_EQ(out[k], reference[k])
+            << nx1 << "x" << nx2 << " on " << px << "x" << py
+            << " threads=" << threads;
     }
   }
   set_host_threads(0);
+  return reference;
+}
+
+void fill_random(const grid::Grid2D& g, Rng& rng, linalg::DistVector& x,
+                 linalg::DistVector& y) {
+  for (int j = 0; j < g.nx2(); ++j) {
+    for (int i = 0; i < g.nx1(); ++i) {
+      for (int s = 0; s < 2; ++s) {
+        x.field().gset(s, i, j, rng.uniform(-1.0, 1.0));
+        y.field().gset(s, i, j, rng.uniform(-1.0, 1.0));
+      }
+    }
+  }
+}
+
+/// Ganged inner products accumulate per-rank partials merged in rank
+/// order, so the value cannot depend on the host-thread count.
+TEST(RankParallelTest, DotGangedInvariantUnderThreadCount) {
+  const grid::Grid2D g(48, 24, -1.0, 1.0, -0.5, 0.5);
+  const grid::Decomposition d(g, mpisim::CartTopology(4, 2));
+  linalg::DistVector x(g, d, 2), y(g, d, 2);
+  Rng rng(42);
+  fill_random(g, rng, x, y);
+  (void)expect_dot_ganged_thread_invariant(48, 24, 4, 2, x, y);
+}
+
+/// Tile rows of 16 and 17 zones (50 over 3 ranks) leave a scalar lane
+/// tail in every row.  The result must still be thread-invariant, and
+/// equal to the lane rule of support/dd.hpp applied serially: one lane
+/// set per rank fed row by row, collapsed in rank order.
+TEST(RankParallelTest, DotGangedInvariantWithPartialLaneRows) {
+  const grid::Grid2D g(50, 30, -1.0, 1.0, -0.5, 0.5);
+  const grid::Decomposition d(g, mpisim::CartTopology(3, 5));
+  linalg::DistVector x(g, d, 2), y(g, d, 2);
+  Rng rng(43);
+  fill_random(g, rng, x, y);
+  const auto out = expect_dot_ganged_thread_invariant(50, 30, 3, 5, x, y);
+  ASSERT_EQ(out.size(), 2u);
+
+  DdAccumulator xy, xx;
+  for (int r = 0; r < d.nranks(); ++r) {
+    const grid::TileExtent& e = d.extent(r);
+    const auto n = static_cast<std::size_t>(e.ni);
+    DdLanes lxy, lxx;
+    for (int s = 0; s < 2; ++s) {
+      const grid::TileView xv = x.field().view(r, s);
+      const grid::TileView yv = y.field().view(r, s);
+      for (int lj = 0; lj < e.nj; ++lj) lxy.dot_row(xv.row(lj), yv.row(lj), n);
+      for (int lj = 0; lj < e.nj; ++lj) lxx.dot_row(xv.row(lj), xv.row(lj), n);
+    }
+    lxy.collapse_into(xy);
+    lxx.collapse_into(xx);
+  }
+  EXPECT_EQ(out[0], xy.value());
+  EXPECT_EQ(out[1], xx.value());
 }
 
 /// The 16-rank radiation run every identity test below is built from.

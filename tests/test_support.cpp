@@ -5,11 +5,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "farm/job_file.hpp"
 #include "support/dd.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
@@ -89,6 +95,60 @@ TEST(Options, BadNumberThrows) {
   o.parse(3, argv);
   EXPECT_THROW(o.get_int("alpha"), Error);
   EXPECT_THROW(o.get_double("alpha"), Error);
+}
+
+/// The message of the v2d::Error `get` throws, or "" when it returns.
+template <typename Get>
+std::string thrown_message(Get get) {
+  try {
+    (void)get();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Options, OutOfRangeIntegersThrowNamingTheOption) {
+  Options o;
+  o.add("nx1", "200", "").add("steps", "1", "").add("seed", "0", "");
+  o.add("lo", "0", "").add("hi", "0", "");
+  const char* argv[] = {"prog",   "--nx1",  "4294967496", "--steps",
+                        "99999999999999999999999",        "--seed",
+                        "-1",     "--lo",   "-2147483648", "--hi",
+                        "2147483647"};
+  o.parse(11, argv);
+  // Fits long, not int: rejected as int, never wrapped.
+  EXPECT_EQ(o.get_int("nx1"), 4294967496L);
+  EXPECT_NE(thrown_message([&] { return o.get_int<int>("nx1"); })
+                .find("--nx1"),
+            std::string::npos);
+  // Overflows long (strtol's ERANGE): rejected at every width.
+  EXPECT_NE(thrown_message([&] { return o.get_int("steps"); })
+                .find("--steps"),
+            std::string::npos);
+  // Negative into an unsigned target.
+  EXPECT_NE(thrown_message([&] { return o.get_int<std::uint64_t>("seed"); })
+                .find("--seed"),
+            std::string::npos);
+  // The int boundaries themselves are accepted.
+  EXPECT_EQ(o.get_int<int>("lo"), std::numeric_limits<int>::min());
+  EXPECT_EQ(o.get_int<int>("hi"), std::numeric_limits<int>::max());
+}
+
+TEST(Options, RunConfigAndJobLinesRejectOutOfRangeIntegers) {
+  // Parse only: no Simulation and no pool is built from these values.
+  for (const std::string opt : {"--nx1 4294967496", "--steps 4294967297",
+                                "--host-threads 4294967297"}) {
+    const std::string name = opt.substr(0, opt.find(' '));
+    const std::string msg = thrown_message([&] {
+      return farm::parse_job_line("--problem gaussian-pulse " + opt, "j");
+    });
+    EXPECT_NE(msg.find(name), std::string::npos) << opt << ": " << msg;
+  }
+  // In range, the same line parses.
+  EXPECT_EQ(farm::parse_job_line("--problem gaussian-pulse --steps 3", "j")
+                .cfg.steps,
+            3);
 }
 
 TEST(Options, DuplicateRegistrationThrows) {
@@ -235,6 +295,115 @@ TEST(DdAccumulator, MergePartials) {
   b.add(xs[4]);
   a.add(b);
   EXPECT_DOUBLE_EQ(whole.value(), a.value());
+}
+
+// --- dd lanes ---------------------------------------------------------------
+
+/// The documented lane rule written out in scalar code: one (hi, lo) pair
+/// per lane, fed with DdAccumulator's branchy Fast2Sum.
+struct LaneReference {
+  double hi[DdLanes::kLanes] = {};
+  double lo[DdLanes::kLanes] = {};
+
+  void dot_row(const double* x, const double* y, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double p = x[i] * y[i];
+      double& h = hi[i % DdLanes::kLanes];
+      const double t = h + p;
+      lo[i % DdLanes::kLanes] +=
+          std::fabs(h) >= std::fabs(p) ? (h - t) + p : (p - t) + h;
+      h = t;
+    }
+  }
+  void collapse_into(DdAccumulator& into) const {
+    for (double h : hi) into.add(h);
+    for (double l : lo) into.add(l);
+  }
+};
+
+std::uint64_t bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// The rounded collapse, plus what remains after subtracting it: the
+/// remainder exposes the double-double's low-order bits too.
+template <class Lanes>
+std::pair<std::uint64_t, std::uint64_t> collapsed_bits(const Lanes& l) {
+  DdAccumulator sum;
+  l.collapse_into(sum);
+  DdAccumulator rest;
+  rest.add(-sum.value());
+  l.collapse_into(rest);
+  return {bits(sum.value()), bits(rest.value())};
+}
+
+/// Addends over ~60 binades, so every lane's `lo` carries real bits.
+std::vector<double> wide_values(Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (auto& x : v)
+    x = std::ldexp(rng.uniform(-1.0, 1.0),
+                   static_cast<int>(rng.below(60)) - 30);
+  return v;
+}
+
+TEST(DdLanes, MatchesScalarLaneRuleForEveryRowLength) {
+  Rng rng(7);
+  for (std::size_t n = 0; n <= 17; ++n) {
+    DdLanes lanes;
+    LaneReference ref;
+    for (int row = 0; row < 3; ++row) {  // state carries across rows
+      const auto x = wide_values(rng, n), y = wide_values(rng, n);
+      lanes.dot_row(x.data(), y.data(), n);
+      ref.dot_row(x.data(), y.data(), n);
+    }
+    EXPECT_EQ(collapsed_bits(lanes), collapsed_bits(ref)) << "n=" << n;
+  }
+}
+
+TEST(DdLanes, ExactForCancellation) {
+  // Within lane 0 (elements 0, 8, 16) and across lanes 1..3.
+  std::vector<double> x(17, 0.0), ones(17, 1.0);
+  x[0] = 1.0e16;
+  x[8] = 1.0;
+  x[16] = -1.0e16;
+  x[1] = 3.0e16;
+  x[2] = -3.0e16;
+  x[3] = 0.5;
+  DdLanes s;
+  s.dot_row(x.data(), ones.data(), x.size());
+  EXPECT_EQ(s.value(), 1.5);
+}
+
+TEST(DdLanes, InfAndNanPropagate) {
+  // Position 3 takes the vector path, position 10 the scalar tail.
+  for (const std::size_t at : {std::size_t{3}, std::size_t{10}}) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      std::vector<double> x(12, 1.0), y(12, 2.0);
+      x[at] = bad;
+      DdLanes s;
+      s.dot_row(x.data(), y.data(), x.size());
+      // Inf − Inf in the error term: an Inf addend ends as NaN, as it does
+      // in DdAccumulator.
+      EXPECT_TRUE(std::isnan(s.value())) << "at=" << at << " bad=" << bad;
+    }
+  }
+}
+
+TEST(DdLanes, GoldenBitPattern) {
+  // Pins the result across compilers and build ISAs (SSE2, AVX2/FMA):
+  // 1000 seeded addends in rows of 37, so rows end mid-lane-group.
+  Rng rng(2026);
+  const auto x = wide_values(rng, 1000), y = wide_values(rng, 1000);
+  DdLanes lanes;
+  for (std::size_t i = 0; i < x.size(); i += 37)
+    lanes.dot_row(x.data() + i, y.data() + i,
+                  std::min<std::size_t>(37, x.size() - i));
+  const auto [sum, rest] = collapsed_bits(lanes);
+  EXPECT_EQ(sum, 0xc36fb291b5208e88ull) << std::hex << sum;
+  EXPECT_EQ(rest, 0xbfa0f1bfcd917eb0ull) << std::hex << rest;
 }
 
 // --- thread pool waits --------------------------------------------------------
