@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
                 << linalg::fusion::describe_builtin_plans();
       const std::string dags = sim.context().vctx.dag_store().dump_all();
       if (!dags.empty())
-        std::cout << "captured kernel DAGs (--fuse plan only):\n" << dags;
+        std::cout << "captured kernel DAGs (--fuse on only):\n" << dags;
     }
 
     TableWriter table("\nSimulated execution (per compiler profile)");

@@ -58,8 +58,8 @@ void RunConfig::register_options(Options& opt) {
           "VLA execution backend: native (fast path) | interpret (reference)");
   opt.add("fuse", "off",
           "fused-kernel execution: off (reference kernel-per-pass sequence) "
-          "| on (hand-written one-pass composites) | plan (planner-generated "
-          "fused groups; see src/linalg/fusion/)");
+          "| on (planner-generated one-pass groups; see src/linalg/fusion/); "
+          "plan is an alias of on");
   opt.add("host-sched", "barrier",
           "host execution scheduler: barrier (fork/join pool per kernel) | "
           "graph (dependency-scheduled task graph with halo/compute "

@@ -65,14 +65,12 @@ struct RunConfig {
   std::string vla_exec = "native";
   /// Fused-kernel execution: "off" (default) keeps the kernel-per-pass
   /// Table II sequence bit-identically — results, counts, ledgers and
-  /// clocks.  "on" routes solver hot loops through hand-written one-pass
-  /// composites (MATVEC+DPROD, DAXPY₂, precond+ganged-dot, fused
-  /// residual).  "plan" routes them through planner-generated fused
-  /// groups instead (src/linalg/fusion/) and records each solver
-  /// configuration's first-iteration kernel DAG; "on" is kept as the
-  /// differential oracle for "plan".  All three modes produce identical
-  /// numerics; on/plan move fewer bytes, so host time and simulated
-  /// cycles drop.
+  /// clocks.  "on" routes solver hot loops through one-pass groups
+  /// generated by the fusion planner (src/linalg/fusion/): MATVEC+DPROD,
+  /// DAXPY₂, precond+ganged-dot, fused residual; it also records each
+  /// solver configuration's first-iteration kernel DAG.  "plan" is an
+  /// alias of "on".  Both modes produce identical numerics; "on" moves
+  /// fewer bytes, so host time and simulated cycles drop.
   std::string fuse = "off";
   /// Host execution scheduler for rank-parallel regions: "barrier"
   /// (default) forks and joins the pool at every kernel; "graph" runs

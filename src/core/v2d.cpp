@@ -96,12 +96,6 @@ sim::CostLedger read_ledger(const io::Group& group) {
   return out;
 }
 
-/// The knobs that shape the trajectory and its pricing.  A restart is only
-/// bit-identical to an uninterrupted run when these match, so they are
-/// stored in the checkpoint and checked on resume.  Run-control knobs
-/// (steps, checkpoint cadence, restart path) and host-only knobs
-/// (host_threads, vla_exec — both provably bit-identical across settings)
-/// are deliberately not pinned.
 /// The stop reason of the first failed solve, for the non-convergence
 /// error message (the fallback chain has already given up by then).
 std::string worst_stop_reason(const rad::StepStats& stats) {
@@ -121,6 +115,23 @@ std::string join(const std::vector<std::string>& items) {
   return out;
 }
 
+/// The fuse mode under its canonical name, so aliases ("plan" for "on")
+/// pin and compare as the mode they select.  Unknown names pass through
+/// unchanged and fail the knob comparison.
+std::string canonical_fuse(const std::string& name) {
+  try {
+    return linalg::fuse_mode_name(linalg::fuse_mode_from_name(name));
+  } catch (const Error&) {
+    return name;
+  }
+}
+
+/// The knobs that shape the trajectory and its pricing.  A restart is only
+/// bit-identical to an uninterrupted run when these match, so they are
+/// stored in the checkpoint and checked on resume.  Run-control knobs
+/// (steps, checkpoint cadence, restart path) and host-only knobs
+/// (host_threads, vla_exec — both provably bit-identical across settings)
+/// are deliberately not pinned.
 std::vector<std::pair<std::string, std::string>> pinned_knobs(
     const RunConfig& cfg) {
   auto num = [](double v) {
@@ -147,7 +158,7 @@ std::vector<std::pair<std::string, std::string>> pinned_knobs(
       {"mg_cheb_boost", num(cfg.mg_cheb_boost)},
       {"mg_max_direct_zones", std::to_string(cfg.mg_max_direct_zones)},
       {"vector_bits", std::to_string(cfg.vector_bits)},
-      {"fuse", cfg.fuse},
+      {"fuse", canonical_fuse(cfg.fuse)},
       {"host_sched", cfg.host_sched},
       {"solver_fallbacks", join(cfg.solver_fallbacks)},
   };
@@ -392,10 +403,12 @@ void Simulation::restart(const std::string& path) {
               "checkpoint mesh does not match the configured run");
   const io::Group& knobs = root.group("config");
   for (const auto& [name, value] : pinned_knobs(cfg_)) {
-    V2D_REQUIRE(knobs.has_attr(name) && knobs.attr_str(name) == value,
-                "checkpoint knob '" + name + "' is " +
-                    (knobs.has_attr(name) ? knobs.attr_str(name)
-                                          : std::string("<missing>")) +
+    std::string stored =
+        knobs.has_attr(name) ? knobs.attr_str(name) : std::string("<missing>");
+    // Checkpoints written before the alias existed store "plan".
+    if (name == "fuse") stored = canonical_fuse(stored);
+    V2D_REQUIRE(stored == value,
+                "checkpoint knob '" + name + "' is " + stored +
                     " but the run is configured with " + value +
                     "; a restart is only bit-identical under the same "
                     "physics/solver/pricing knobs");

@@ -14,6 +14,10 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x48354C54;  // "H5LT"
 constexpr std::uint32_t kVersion = 1;
+// Deepest group nesting the reader accepts (the root is depth 0).
+// Checkpoints nest at most five levels; the bound keeps the recursive
+// reader off the end of the stack on a crafted file.
+constexpr int kMaxGroupDepth = 64;
 
 // --- byte stream helpers ----------------------------------------------------
 
@@ -164,7 +168,7 @@ void put_group(std::vector<std::uint8_t>& b, const Group& g) {
   }
 }
 
-void get_group(Reader& r, Group& g) {
+void get_group(Reader& r, Group& g, int depth) {
   const std::uint32_t nattrs = r.u32();
   for (std::uint32_t i = 0; i < nattrs; ++i) {
     auto [name, a] = get_attr(r);
@@ -182,7 +186,10 @@ void get_group(Reader& r, Group& g) {
   const std::uint32_t ngroups = r.u32();
   for (std::uint32_t i = 0; i < ngroups; ++i) {
     std::string name = r.str();
-    get_group(r, g.create_group(name));
+    V2D_REQUIRE(depth < kMaxGroupDepth,
+                "h5lite: group '" + name + "' nests deeper than " +
+                    std::to_string(kMaxGroupDepth) + " levels");
+    get_group(r, g.create_group(name), depth + 1);
   }
 }
 
@@ -258,16 +265,37 @@ const Attr& Group::attr(const std::string& name) const {
   return it->second;
 }
 
+namespace {
+
+const char* attr_kind_name(const Attr& a) {
+  if (std::holds_alternative<std::int64_t>(a)) return "an integer";
+  if (std::holds_alternative<double>(a)) return "a float";
+  return "a string";
+}
+
+/// The attribute's value as `T`, or a v2d::Error naming the attribute and
+/// the kind it holds (a file can store any kind under any name).
+template <typename T>
+const T& attr_as(const Group& g, const std::string& name, const char* want) {
+  const Attr& a = g.attr(name);
+  const T* v = std::get_if<T>(&a);
+  V2D_REQUIRE(v != nullptr, "h5lite: attribute '" + name + "' holds " +
+                                attr_kind_name(a) + ", expected " + want);
+  return *v;
+}
+
+}  // namespace
+
 double Group::attr_f64(const std::string& name) const {
-  return std::get<double>(attr(name));
+  return attr_as<double>(*this, name, "a float");
 }
 
 std::int64_t Group::attr_i64(const std::string& name) const {
-  return std::get<std::int64_t>(attr(name));
+  return attr_as<std::int64_t>(*this, name, "an integer");
 }
 
 std::string Group::attr_str(const std::string& name) const {
-  return std::get<std::string>(attr(name));
+  return attr_as<std::string>(*this, name, "a string");
 }
 
 // --- H5File -------------------------------------------------------------------
@@ -285,7 +313,7 @@ H5File H5File::deserialize(std::span<const std::uint8_t> bytes) {
   V2D_REQUIRE(r.u32() == kMagic, "h5lite: bad magic");
   V2D_REQUIRE(r.u32() == kVersion, "h5lite: unsupported version");
   H5File f;
-  get_group(r, f.root());
+  get_group(r, f.root(), 0);
   V2D_REQUIRE(r.exhausted(), "h5lite: trailing bytes");
   return f;
 }

@@ -29,12 +29,7 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
   // join nodes.  A no-op under barrier scheduling.
   task_graph::GraphRegion graph(ctx.sched == HostSched::Graph);
 
-  if (ctx.fused()) {
-    A.apply_residual(ctx, x, b, r);
-  } else {
-    A.apply(ctx, x, r);
-    r.assign_sub(ctx, b, r);
-  }
+  A.apply_residual(ctx, x, b, r);
   M.apply(ctx, r, z);
   p.copy_from(ctx, z);
 
@@ -57,14 +52,8 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
   for (int it = 1; it <= opt.max_iterations; ++it) {
     dag.begin_iteration(it);
     stats.iterations = it;
-    double pq;
-    if (ctx.fused()) {
-      // Fused MATVEC+DPROD: p·Ap rides the stencil sweep.
-      pq = A.apply_dot(ctx, p, q);
-    } else {
-      A.apply(ctx, p, q);
-      pq = DistVector::dot(ctx, p, q);
-    }
+    // MATVEC+DPROD: p·Ap rides the stencil sweep when fused.
+    const double pq = A.apply_dot(ctx, p, q);
     ++stats.global_reductions;
     // On an SPD operator p·Ap > 0 for p ≠ 0.  A negative (or NaN) value
     // means the operator is not positive definite — a distinct failure
@@ -77,23 +66,17 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
     const double alpha = rz / pq;
     double rz_new;
     double fused_vals[2];
-    // The CG tail composite: r ← r − α·q, z ← M·r and the {r·z, r·r}
-    // gang in ONE sweep (still one ganged reduction); x's half of the
-    // twin update keeps its own pass.  Preconditioners without a fused
-    // form fall back to DAXPY₂ + apply + dot_ganged.
-    if (ctx.fused() && M.apply_dot2(ctx, r, z, fused_vals, -alpha, &q)) {
+    // The CG tail composite (fused contexts, diagonal M): r ← r − α·q,
+    // z ← M·r and the {r·z, r·r} gang in ONE sweep (still one ganged
+    // reduction); x's half of the twin update keeps its own pass.
+    // Otherwise: the DAXPY₂ twin update, apply and dot_ganged.
+    if (M.apply_dot2(ctx, r, z, fused_vals, -alpha, &q)) {
       x.daxpy(ctx, alpha, p);
       ++stats.global_reductions;
       rz_new = fused_vals[0];
       rnorm2 = fused_vals[1];
     } else {
-      if (ctx.fused()) {
-        // Twin update DAXPY₂: both vectors in one pass.
-        DistVector::daxpy2(ctx, x, alpha, p, r, -alpha, q);
-      } else {
-        x.daxpy(ctx, alpha, p);
-        r.daxpy(ctx, -alpha, q);
-      }
+      DistVector::daxpy2(ctx, x, alpha, p, r, -alpha, q);
       M.apply(ctx, r, z);
       const DistVector::DotPair pairs[] = {{&r, &z}, {&r, &r}};
       const auto vals = DistVector::dot_ganged(ctx, pairs);

@@ -2,7 +2,7 @@
 /// \file dag_capture.hpp
 /// \brief RAII capture of one solver iteration's kernel DAG.
 ///
-/// Under FuseMode::Plan, the solvers construct a DagCapture keyed by their
+/// Under FuseMode::On, the solvers construct a DagCapture keyed by their
 /// (solver, preconditioner, shape, VL, exec-mode) configuration and call
 /// begin_iteration(it) at the top of every hot-loop iteration.  The first
 /// time a configuration runs, the capture attaches a DagRecorder to the
@@ -30,10 +30,10 @@ class DagCapture {
 public:
   DagCapture(ExecContext& ctx, std::string key)
       : ctx_(ctx), key_(std::move(key)) {
-    // Arm only for the first Plan-mode solve of this configuration, and
+    // Arm only for the first fused solve of this configuration, and
     // never nested (an outer capture — e.g. a solver driving MG smoother
     // solves — owns the recording).
-    armed_ = ctx_.planned() && ctx_.dag == nullptr &&
+    armed_ = ctx_.fused() && ctx_.dag == nullptr &&
              !ctx_.vctx.dag_store().contains(key_);
   }
 

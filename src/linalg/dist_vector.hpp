@@ -48,23 +48,26 @@ public:
   /// z ← x − y
   void assign_sub(ExecContext& ctx, const DistVector& x, const DistVector& y);
 
-  // --- fused composites (FuseMode::On call sites) ----------------------------
-  // One-pass versions of the kernel chains the solver hot loops issue;
-  // results are bit-identical to the unfused sequences (same per-element
-  // association order), only the instruction stream and priced traffic
-  // shrink.
+  // --- fused composites ------------------------------------------------------
+  // One-pass versions of the kernel chains the solver hot loops issue.  A
+  // fused context (FuseMode::On) runs the planner-generated group as one
+  // priced kernel call; an unfused one issues the original kernel sequence
+  // itself, call for call.  Results are bit-identical either way (same
+  // per-element association order); only the instruction stream and the
+  // priced traffic differ.
 
-  /// Fused CG twin update (DAXPY₂): x ← x + a·p and r ← r + b·q in one
-  /// pass — one priced kernel call instead of two DAXPYs.
+  /// CG twin update (DAXPY₂): x ← x + a·p and r ← r + b·q — one pass, or
+  /// x.daxpy then r.daxpy.
   static void daxpy2(ExecContext& ctx, DistVector& x, double a,
                      const DistVector& p, DistVector& r, double b,
                      const DistVector& q);
 
-  /// y ← x + a·z (fused COPY+DAXPY: replaces copy_from + daxpy).
+  /// y ← x + a·z — one pass, or copy_from + daxpy.
   void assign_axpy(ExecContext& ctx, const DistVector& x, double a,
                    const DistVector& z);
 
-  /// y ← x + b·(y − w·v) (fused DAXPY+XPBY: the BiCGSTAB p-update).
+  /// y ← x + b·(y − w·v), the BiCGSTAB p-update — one pass, or daxpy(−w, v)
+  /// + xpby(x, b).
   void fused_p_update(ExecContext& ctx, const DistVector& x, double b,
                       double w, const DistVector& v);
 

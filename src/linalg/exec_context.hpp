@@ -19,47 +19,41 @@
 
 namespace v2d::linalg {
 
-/// Whether the solvers route hot-loop call sites through the fused
-/// one-pass composites (MATVEC+DPROD, DAXPY₂, precond+ganged-dot, fused
-/// residual/smoother) instead of the kernel-per-pass Table II sequence.
+/// Whether the solvers' hot-loop call sites run as fused one-pass groups
+/// (MATVEC+DPROD, DAXPY₂, precond+ganged-dot, fused residual/smoother)
+/// instead of the kernel-per-pass Table II sequence.
 ///
 ///   Off — every call site runs the original kernel sequence; results,
 ///         recorded counts, ledgers and simulated clocks are bit-identical
 ///         to a build without the fusion layer.
-///   On  — hot loops use the composites: fewer memory passes, fewer kernel
-///         calls, reduced bytes_moved in the priced stream.  Numerics are
-///         pinned to the unfused path (the composites evaluate the same
-///         per-element expressions in the same association order, and
-///         reductions keep the rank-ordered compensated merge), so the
-///         Krylov trajectory is unchanged — only the price is.
-///   Plan — same hot-loop routing as On, but the composites come from the
-///          general fusion planner (src/linalg/fusion/): the first solver
-///          iteration of each configuration records the kernel DAG
-///          (vla/kernel_dag.hpp), and execution runs planner-generated
-///          groups in all three representations (interpreter sweep,
-///          signature-keyed native stamps, composed analytic counts).
-///          The hand-written On composites stay as the differential
-///          oracle; Plan is bit-identical to both Off and On.
+///   On  — the call sites run groups generated by the fusion planner
+///         (src/linalg/fusion/) in all three representations (interpreter
+///         sweep, signature-keyed native stamps, composed analytic
+///         counts), and the first solver iteration of each configuration
+///         records its kernel DAG (vla/kernel_dag.hpp).  Fewer memory
+///         passes, fewer kernel calls, less priced traffic.  Numerics are
+///         pinned to Off: the groups evaluate the same per-element
+///         expressions in the same association order, and reductions keep
+///         the rank-ordered compensated merge, so the Krylov trajectory is
+///         unchanged — only the price is.
+///
+/// "plan" is accepted as an alias of "on" (it named the planner while a
+/// hand-written set of composites still backed "on"), so older job files
+/// and checkpoints keep working.
 enum class FuseMode : std::uint8_t {
   Off,
   On,
-  Plan,
 };
 
 inline const char* fuse_mode_name(FuseMode m) {
-  switch (m) {
-    case FuseMode::On: return "on";
-    case FuseMode::Plan: return "plan";
-    case FuseMode::Off: break;
-  }
-  return "off";
+  return m == FuseMode::On ? "on" : "off";
 }
 
 inline FuseMode fuse_mode_from_name(const std::string& name) {
-  if (name == "on") return FuseMode::On;
+  if (name == "on" || name == "plan") return FuseMode::On;
   if (name == "off") return FuseMode::Off;
-  if (name == "plan") return FuseMode::Plan;
-  throw Error("unknown fuse mode '" + name + "' (expected off|on|plan)");
+  throw Error("unknown fuse mode '" + name +
+              "' (expected off|on; plan is an alias of on)");
 }
 
 /// Host execution scheduler for rank-parallel regions (--host-sched).
@@ -98,7 +92,7 @@ struct ExecContext {
   /// When non-null, call sites record their primitive kernel launches
   /// here (the fusion planner's iteration-DAG capture, armed by
   /// linalg::DagCapture for the first solver iteration of a new
-  /// configuration under FuseMode::Plan).  Never set on fork()ed rank
+  /// configuration under FuseMode::On).  Never set on fork()ed rank
   /// contexts: recording stays on the driving thread so the captured
   /// node order is independent of the host-thread count.
   vla::DagRecorder* dag = nullptr;
@@ -112,13 +106,8 @@ struct ExecContext {
               FuseMode fuse_mode = FuseMode::Off)
       : vctx(std::move(v)), em(model), fuse(fuse_mode) {}
 
-  /// True when call sites should take a fused-composite path (hand-written
-  /// under On, planner-generated under Plan — same call-site routing).
-  bool fused() const { return fuse != FuseMode::Off; }
-
-  /// True when fused call sites should run the planner-generated groups
-  /// instead of the hand-written oracle composites.
-  bool planned() const { return fuse == FuseMode::Plan; }
+  /// True when call sites should run the planner-generated fused groups.
+  bool fused() const { return fuse == FuseMode::On; }
 
   /// Rank-local child context for par_ranks: shares the pricer and the
   /// analytic count cache, with a private recording accumulator so

@@ -143,8 +143,8 @@ inline void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
 }
 
 /// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop.  The loop body reduces to exactly the
-/// raw-pointer loops the hand-written native kernels used, so the host
+/// into a flat per-element loop.  The loop body reduces to a plain
+/// raw-pointer loop like the primitive native kernels', so the host
 /// compiler auto-vectorizes it; fused dots run afterwards as lane-parallel
 /// tails over the cache-hot row.  Register slots with compile-time-constant
 /// indices are scalarized by the compiler.

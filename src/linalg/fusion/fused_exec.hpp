@@ -5,7 +5,7 @@
 /// A planned group runs as:
 ///   - Interpret: a generic multi-op sweep that walks the GroupProgram's
 ///     steps per strip through vla::Context ops (recording op-by-op exactly
-///     like a hand-written composite kernel would);
+///     as the vla::Context ops of an unfused kernel would);
 ///   - Native: a stamped-out template from a fixed set keyed by the
 ///     fused-op signature (GroupProgram::sig), with the recording composed
 ///     analytically by group_counts and memoized in the Context's count
@@ -18,9 +18,9 @@
 ///
 /// The convenience entry points below are the planner-generated composites:
 /// each plans its built-in chain at compile time and binds the operands.
-/// They are drop-in equivalents of the hand-written linalg:: composites and
-/// back both the FuseMode::On wrappers (where the bespoke triple was
-/// deleted) and the FuseMode::Plan call sites.
+/// They are the only implementation of the fused kernels; the FuseMode::On
+/// call sites (DistVector, StencilOperator, the diagonal preconditioners)
+/// call them directly.
 
 #include <span>
 #include <string>
@@ -82,8 +82,15 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
                           std::span<double> r, std::span<double> z,
                           DdLanes& rz, DdLanes& rr);
 
-/// Fused stencil-row composites (residual / matvec+dot, optionally
-/// species-coupled) — same operand contract as linalg::stencil_row_fused.
+/// Fused stencil-row composite.  Always computes the five-point row into
+/// `y` (the linalg::stencil_row contract); the optional operands select
+/// the composite:
+///   csp/xo  non-null — species coupling folded into the sweep
+///   bsub    non-null — residual form, y ← bsub − (A·x) row
+///   wdot/dot non-null — MATVEC+DPROD, dot->dot_row(w, y) over the row
+///     (`wdot == xc` is the CG p·Ap case: the center operand is reused in
+///      registers, no extra load)
+/// `bsub` and `wdot` are mutually exclusive.
 void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cw, std::span<const double> ce,
                        std::span<const double> cs, std::span<const double> cn,

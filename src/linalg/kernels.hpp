@@ -17,7 +17,6 @@
 
 #include <span>
 
-#include "support/dd.hpp"
 #include "vla/loops.hpp"
 #include "vla/vla.hpp"
 
@@ -76,61 +75,8 @@ void stencil_row(vla::Context& ctx, std::span<const double> cc,
 void coupling_row(vla::Context& ctx, std::span<const double> csp,
                   const double* xo, std::span<double> y);
 
-// --- fused composites (FuseMode::On / FuseMode::Plan) ------------------------
-//
-// One-pass versions of the kernel chains the solver hot loops issue.  Each
-// evaluates the same per-element expressions in the same association order
-// as the unfused sequence, so switching FuseMode changes the instruction
-// stream and the priced traffic but not one bit of the numerics.  Fused
-// reductions feed the caller's DdLanes (the compensated lane rule of
-// support/dd.hpp) exactly like DistVector::dot_ganged, so the recorded
-// stream is the hardware composite (dot folded in as predicated FMAs + one
-// horizontal reduce) while the returned value is the same in every mode.
-//
-// stencil_row_fused and daxpy2 are thin wrappers over planner-generated
-// groups (src/linalg/fusion/); the remaining composites keep hand-written
-// triples as the differential-testing oracle for `--fuse plan`.
-
-/// Fused stencil-row composite.  Always computes the five-point row into
-/// `y`; the optional operands select the composite:
-///   csp/xo  non-null — species coupling folded into the sweep
-///   bsub    non-null — residual form, y ← bsub − (A·x) row
-///   wdot/dot non-null — MATVEC+DPROD, dot->dot_row(w, y) over the row
-///     (`wdot == xc` is the CG p·Ap case: the center operand is reused in
-///      registers, no extra load)
-/// `bsub` and `wdot` are mutually exclusive.
-void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
-                       std::span<const double> cw, std::span<const double> ce,
-                       std::span<const double> cs, std::span<const double> cn,
-                       const double* xc, const double* xs, const double* xn,
-                       const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdLanes* dot,
-                       std::span<double> y);
-
-/// Fused CG twin update (DAXPY₂): x ← x + a·p and r ← r + b·q in one pass.
-void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
-            std::span<double> x, double b, std::span<const double> q,
-            std::span<double> r);
-
-/// Fused COPY+DAXPY: z ← x + a·y.
-void axpy_out(vla::Context& ctx, std::span<const double> x, double a,
-              std::span<const double> y, std::span<double> z);
-
-/// Fused DAXPY+XPBY (BiCGSTAB p-update): p ← r + b·(p − w·v).
-void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
-              std::span<const double> v, std::span<double> p);
-
-/// Fused precond apply + ganged 2-dot: z ← m ⊙ r with rz += Σ z·r and
-/// rr += Σ r·r folded into the sweep.
-void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
-                   std::span<const double> r, std::span<double> z,
-                   DdLanes& rz, DdLanes& rr);
-
-/// The CG tail composite: the residual update r ← r + a·q folded into the
-/// precond+gang sweep (hadamard_dot2 over the updated residual).
-void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
-                          double a, std::span<const double> q,
-                          std::span<double> r, std::span<double> z,
-                          DdLanes& rz, DdLanes& rr);
+// The fused composites (MATVEC+DPROD, fused residual, DAXPY₂, AXPY-out,
+// p-update, precond+ganged-dot) are generated by the fusion planner from
+// chains of these primitives; see src/linalg/fusion/fused_exec.hpp.
 
 }  // namespace v2d::linalg

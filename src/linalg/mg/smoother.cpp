@@ -78,13 +78,7 @@ void diag_scale(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
 /// the correction half is already the single fused diag_correct kernel).
 void residual(ExecContext& ctx, MgLevel& lvl, DistVector& x, DistVector& b,
               DistVector& r) {
-  if (ctx.fused()) {
-    lvl.op->apply_residual_as(ctx, x, b, r, KernelFamily::Precond,
-                              "mg-smooth");
-  } else {
-    lvl.op->apply_as(ctx, x, r, KernelFamily::Precond, "mg-smooth");
-    r.assign_sub(ctx, b, r);
-  }
+  lvl.op->apply_residual_as(ctx, x, b, r, KernelFamily::Precond, "mg-smooth");
 }
 
 }  // namespace

@@ -32,10 +32,12 @@ public:
   /// x ← x + update_a·q element-by-element (the CG tail composite: the
   /// r-update, precond apply and gang become one pass).  Returns false
   /// *without doing any work* when this preconditioner has no fused form
-  /// (stencil-shaped or multilevel M); callers then fall back to the
-  /// unfused kernel chain.  The diagonal preconditioners (Jacobi,
-  /// SPAI(0)) override it; results are bit-identical to the unfused
-  /// sequence.
+  /// (stencil-shaped or multilevel M) or the context is unfused; callers
+  /// then issue the kernel chain themselves.  The unfused case is left to
+  /// the caller because its chain does not start here: CG's unfused
+  /// sequence updates x before r, and x is not an operand.  The diagonal
+  /// preconditioners (Jacobi, SPAI(0)) override it; results are
+  /// bit-identical to the unfused sequence.
   virtual bool apply_dot2(ExecContext& /*ctx*/, DistVector& /*x*/,
                           DistVector& /*y*/, double /*out*/[2],
                           double /*update_a*/ = 0.0,

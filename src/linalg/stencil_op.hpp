@@ -92,18 +92,21 @@ public:
   /// the dot rides the stencil rows as one extra FMA (plus a load when w
   /// is a distinct vector), so neither w nor y is re-streamed.  Priced as
   /// one kernel call per rank plus one allreduce, same reduction count as
-  /// apply() + dot.  Bit-identical to the unfused pair: the global value
-  /// is the same rank-ordered compensated sum dot_ganged computes.
+  /// apply() + dot.  An unfused context runs that pair instead.  The
+  /// result is bit-identical either way: the global value is the same
+  /// rank-ordered compensated sum dot_ganged computes.
   double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
                    const DistVector* w = nullptr) const override;
 
   /// Fused residual r ← b − A·x in one sweep (the b load and subtraction
-  /// replace the separate A·x write-back + SUB pass).
+  /// replace the separate A·x write-back + SUB pass), booked as
+  /// "matvec-residual".  An unfused context runs apply() + assign_sub.
   void apply_residual(ExecContext& ctx, DistVector& x, const DistVector& b,
                       DistVector& r) const override;
 
-  /// Fused residual with explicit attribution (the multigrid smoother and
-  /// V-cycle price their residuals under KernelFamily::Precond).
+  /// Residual with explicit attribution (the multigrid smoother and
+  /// V-cycle price their residuals under KernelFamily::Precond): one sweep
+  /// when fused, apply_as() + assign_sub under the same region otherwise.
   void apply_residual_as(ExecContext& ctx, DistVector& x, const DistVector& b,
                          DistVector& r, compiler::KernelFamily family,
                          const std::string& region) const;

@@ -3,7 +3,7 @@
 /// \brief Lightweight kernel-DAG recorder for the fusion planner.
 ///
 /// During the first solver iteration of a (solver, precond, shape, VL)
-/// configuration under FuseMode::Plan, the call sites record every
+/// configuration under FuseMode::On, the call sites record every
 /// primitive kernel launch — with its operand read/write sets — into a
 /// DagRecorder.  The captured KernelDag is a small IR: nodes in program
 /// order, operands normalized to stable names (v0, v1, …) in first-seen
@@ -75,7 +75,7 @@ private:
 /// the fork family (and farm sessions sharing a Context prototype) like
 /// the analytic-count cache.  Keys carry the full configuration —
 /// solver, preconditioner, problem shape, VL and exec mode — so sessions
-/// with different configurations never collide, and only FuseMode::Plan
+/// with different configurations never collide, and only FuseMode::On
 /// runs ever record (mixed-fuse farms cannot cross-contaminate).
 class DagStore {
 public:

@@ -23,6 +23,7 @@
 #include "core/v2d.hpp"
 #include "linalg/bicgstab.hpp"
 #include "linalg/cg.hpp"
+#include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/precond.hpp"
@@ -99,8 +100,8 @@ TEST_P(FusedKernelSweep, Daxpy2) {
   auto xi = random_vec(n(), rng), xn = xi;
   auto ri = random_vec(n(), rng), rn = ri;
   Context ci = interp_ctx(), cx = native_ctx();
-  daxpy2(ci, 0.7, p, xi, -0.7, q, ri);
-  daxpy2(cx, 0.7, p, xn, -0.7, q, rn);
+  fusion::daxpy2(ci, 0.7, p, xi, -0.7, q, ri);
+  fusion::daxpy2(cx, 0.7, p, xn, -0.7, q, rn);
   expect_bits_equal(xi, xn);
   expect_bits_equal(ri, rn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
@@ -111,8 +112,8 @@ TEST_P(FusedKernelSweep, AxpyOut) {
   const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  axpy_out(ci, x, -1.3, y, zi);
-  axpy_out(cx, x, -1.3, y, zn);
+  fusion::axpy_out(ci, x, -1.3, y, zi);
+  fusion::axpy_out(cx, x, -1.3, y, zn);
   expect_bits_equal(zi, zn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -122,8 +123,8 @@ TEST_P(FusedKernelSweep, PUpdate) {
   const auto r = random_vec(n(), rng), v = random_vec(n(), rng);
   auto pi = random_vec(n(), rng), pn = pi;
   Context ci = interp_ctx(), cx = native_ctx();
-  p_update(ci, r, 0.8, 0.45, v, pi);
-  p_update(cx, r, 0.8, 0.45, v, pn);
+  fusion::p_update(ci, r, 0.8, 0.45, v, pi);
+  fusion::p_update(cx, r, 0.8, 0.45, v, pn);
   expect_bits_equal(pi, pn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -134,8 +135,8 @@ TEST_P(FusedKernelSweep, HadamardDot2) {
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
   DdLanes rzi, rri, rzn, rrn;
-  hadamard_dot2(ci, m, r, zi, rzi, rri);
-  hadamard_dot2(cx, m, r, zn, rzn, rrn);
+  fusion::hadamard_dot2(ci, m, r, zi, rzi, rri);
+  fusion::hadamard_dot2(cx, m, r, zn, rzn, rrn);
   expect_bits_equal(zi, zn);
   EXPECT_EQ(rzi.value(), rzn.value());
   EXPECT_EQ(rri.value(), rrn.value());
@@ -149,8 +150,8 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
   DdLanes rzi, rri, rzn, rrn;
-  hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
-  hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
+  fusion::hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
+  fusion::hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
   expect_bits_equal(ri, rn);
   expect_bits_equal(zi, zn);
   EXPECT_EQ(rzi.value(), rzn.value());
@@ -164,7 +165,7 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   auto r_ref = rr2, r_fused = rr2;
   std::vector<double> z_ref(n()), z_fused(n());
   DdLanes rz_f, rr_f;
-  hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
+  fusion::hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
   daxpy(plain, -0.6, q, r_ref);
   hadamard(plain, m, r_ref, z_ref);
   expect_bits_equal(r_fused, r_ref);
@@ -219,14 +220,14 @@ TEST_P(FusedKernelSweep, StencilDotSelfAndOther) {
       const double* csp = coupled ? op.csp.data() : nullptr;
       const double* xo = coupled ? op.xo.data() : nullptr;
       const double* wi = self ? op.xc.data() + 1 : op.w.data();
-      stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                        op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                        op.xs.data(), op.xn.data(), csp, xo, nullptr, wi, &di,
-                        yi);
-      stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                        op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                        op.xs.data(), op.xn.data(), csp, xo, nullptr, wi, &dn,
-                        yn);
+      fusion::stencil_row_fused(
+          ci, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs), op.s(op.cn),
+          op.xc.data() + 1, op.xs.data(), op.xn.data(), csp, xo, nullptr, wi,
+          &di, yi);
+      fusion::stencil_row_fused(
+          cx, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs), op.s(op.cn),
+          op.xc.data() + 1, op.xs.data(), op.xn.data(), csp, xo, nullptr, wi,
+          &dn, yn);
       expect_bits_equal(yi, yn);
       EXPECT_EQ(di.value(), dn.value());
       expect_counts_equal(ci.take_counts(), cx.take_counts());
@@ -242,14 +243,14 @@ TEST_P(FusedKernelSweep, StencilSub) {
     Context ci = interp_ctx(), cx = native_ctx();
     const double* csp = coupled ? op.csp.data() : nullptr;
     const double* xo = coupled ? op.xo.data() : nullptr;
-    stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs),
-                      op.s(op.cn), op.xc.data() + 1, op.xs.data(),
-                      op.xn.data(), csp, xo, op.b.data(), nullptr, nullptr,
-                      ri);
-    stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs),
-                      op.s(op.cn), op.xc.data() + 1, op.xs.data(),
-                      op.xn.data(), csp, xo, op.b.data(), nullptr, nullptr,
-                      rn);
+    fusion::stencil_row_fused(
+        ci, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs), op.s(op.cn),
+        op.xc.data() + 1, op.xs.data(), op.xn.data(), csp, xo, op.b.data(),
+        nullptr, nullptr, ri);
+    fusion::stencil_row_fused(
+        cx, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs), op.s(op.cn),
+        op.xc.data() + 1, op.xs.data(), op.xn.data(), csp, xo, op.b.data(),
+        nullptr, nullptr, rn);
     expect_bits_equal(ri, rn);
     expect_counts_equal(ci.take_counts(), cx.take_counts());
   }
@@ -269,7 +270,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   {
     std::vector<double> xf(b.begin(), b.end()), xr = xf;
     std::vector<double> rf(w.begin(), w.end()), rr = rf;
-    daxpy2(fused, 0.9, cc, xf, -0.9, cw, rf);
+    fusion::daxpy2(fused, 0.9, cc, xf, -0.9, cw, rf);
     daxpy(plain, 0.9, cc, xr);
     daxpy(plain, -0.9, cw, rr);
     expect_bits_equal(xf, xr);
@@ -278,7 +279,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // AxpyOut == COPY ; DAXPY.
   {
     std::vector<double> zf(n()), zr(n());
-    axpy_out(fused, cc, -0.4, cw, zf);
+    fusion::axpy_out(fused, cc, -0.4, cw, zf);
     copy(plain, cc, zr);
     daxpy(plain, -0.4, cw, zr);
     expect_bits_equal(zf, zr);
@@ -286,7 +287,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // PUpdate == DAXPY ; XPBY.
   {
     std::vector<double> pf(cs.begin(), cs.end()), pr = pf;
-    p_update(fused, cc, 1.7, 0.3, cw, pf);
+    fusion::p_update(fused, cc, 1.7, 0.3, cw, pf);
     daxpy(plain, -0.3, cw, pr);
     xpby(plain, cc, 1.7, pr);
     expect_bits_equal(pf, pr);
@@ -295,7 +296,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   {
     std::vector<double> zf(n()), zr(n());
     DdLanes rz, rr2;
-    hadamard_dot2(fused, cc, cw, zf, rz, rr2);
+    fusion::hadamard_dot2(fused, cc, cw, zf, rz, rr2);
     hadamard(plain, cc, cw, zr);
     expect_bits_equal(zf, zr);
     DdAccumulator rz_ref, rr_ref;
@@ -309,11 +310,10 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // Fused residual == STENCIL ; SUB  (uncoupled and coupled).
   for (const bool coupled : {false, true}) {
     std::vector<double> rf(n()), qr(n()), rr3(n());
-    stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
-                      op.xs.data(), op.xn.data(),
-                      coupled ? op.csp.data() : nullptr,
-                      coupled ? op.xo.data() : nullptr, op.b.data(), nullptr,
-                      nullptr, rf);
+    fusion::stencil_row_fused(
+        fused, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(), op.xn.data(),
+        coupled ? op.csp.data() : nullptr, coupled ? op.xo.data() : nullptr,
+        op.b.data(), nullptr, nullptr, rf);
     stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
                 op.xn.data(), qr);
     if (coupled) coupling_row(plain, op.s(op.csp), op.xo.data(), qr);
@@ -324,9 +324,9 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   {
     std::vector<double> yf(n()), yr(n());
     DdLanes df;
-    stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
-                      op.xs.data(), op.xn.data(), nullptr, nullptr, nullptr,
-                      op.w.data(), &df, yf);
+    fusion::stencil_row_fused(
+        fused, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(), op.xn.data(),
+        nullptr, nullptr, nullptr, op.w.data(), &df, yf);
     stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
                 op.xn.data(), yr);
     expect_bits_equal(yf, yr);

@@ -1,30 +1,33 @@
 /// \file test_fusion_planner.cpp
 /// \brief The fusion planner: plan determinism, legality, DAG capture and
-/// the --fuse plan differential contract.
+/// the --fuse on differential contract.
 ///
-/// Four layers, extending test_fusion.cpp's oracle suite:
+/// Four layers, extending test_fusion.cpp's interpreter-vs-native suite:
 ///   1. plan determinism — the built-in plan dump is byte-identical across
 ///      repeated planning and across host-thread counts;
 ///   2. legality — write-after-read across a reduction cuts the group (in
 ///      both plan_chain and the DAG annotator), and a reduction over an
 ///      unstored temporary is rejected outright;
-///   3. DAG capture — the first Plan-mode solver iteration of each
+///   3. DAG capture — the first fused solver iteration of each
 ///      configuration is recorded once, on the driving thread only, and
 ///      the capture prices nothing;
-///   4. differential — --fuse plan is bit-identical in fields to both off
-///      and on, and bit-identical in per-profile per-rank clocks and full
-///      cost ledgers to on (the hand-written oracle), across solvers ×
-///      preconditioners × exec modes × VL tail shapes — solo and in a
-///      mixed-fuse farm.
+///   4. differential — --fuse on is bit-identical in fields to off across
+///      solvers × preconditioners × exec modes × VL tail shapes, solo and
+///      in a mixed-fuse farm; its recorded counts, per-profile per-rank
+///      clocks and full cost ledgers equal golden values captured from the
+///      hand-written composites that backed --fuse on before the planner
+///      replaced them (the unfused clocks are pinned the same way).
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/v2d.hpp"
 #include "farm/farm.hpp"
+#include "io/h5lite.hpp"
 #include "linalg/bicgstab.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/dag_capture.hpp"
@@ -220,13 +223,232 @@ void expect_same_trajectory(const SolveOutcome& a, const SolveOutcome& b,
     ASSERT_EQ(a.x[i], b.x[i]) << label << " zone " << i;
 }
 
+// --- golden values -----------------------------------------------------------
+//
+// Captured from the hand-written composites (interpreter and native agreed)
+// and from full --fuse on / --fuse off runs, before those composites were
+// deleted.  The planner must reproduce them exactly.
+
+/// KernelCounts of one composite call, as "class:instr/lanes ... rd:B wr:B"
+/// over the op classes with a nonzero entry.
+struct GoldenCounts {
+  const char* composite;
+  unsigned vl_bits;
+  std::size_t n;
+  const char* counts;
+};
+
+constexpr GoldenCounts kGoldenCounts[] = {
+    {"axpy_out", 128, 0, "sel:1/1 rd:0 wr:0"},
+    {"axpy_out", 128, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/2 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"axpy_out", 128, 7, "fma:4/7 ld1:8/14 st1:4/7 sel:1/1 pred:4/8 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"axpy_out", 128, 8, "fma:4/8 ld1:8/16 st1:4/8 sel:1/1 pred:4/8 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"axpy_out", 128, 9, "fma:5/9 ld1:10/18 st1:5/9 sel:1/1 pred:5/10 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"axpy_out", 128, 200, "fma:100/200 ld1:200/400 st1:100/200 sel:1/1 pred:100/200 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"axpy_out", 512, 0, "sel:1/1 rd:0 wr:0"},
+    {"axpy_out", 512, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/8 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"axpy_out", 512, 7, "fma:1/7 ld1:2/14 st1:1/7 sel:1/1 pred:1/8 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"axpy_out", 512, 8, "fma:1/8 ld1:2/16 st1:1/8 sel:1/1 pred:1/8 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"axpy_out", 512, 9, "fma:2/9 ld1:4/18 st1:2/9 sel:1/1 pred:2/16 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"axpy_out", 512, 200, "fma:25/200 ld1:50/400 st1:25/200 sel:1/1 pred:25/200 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"axpy_out", 2048, 0, "sel:1/1 rd:0 wr:0"},
+    {"axpy_out", 2048, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/32 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"axpy_out", 2048, 7, "fma:1/7 ld1:2/14 st1:1/7 sel:1/1 pred:1/32 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"axpy_out", 2048, 8, "fma:1/8 ld1:2/16 st1:1/8 sel:1/1 pred:1/32 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"axpy_out", 2048, 9, "fma:1/9 ld1:2/18 st1:1/9 sel:1/1 pred:1/32 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"axpy_out", 2048, 200, "fma:7/200 ld1:14/400 st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
+    {"p_update", 128, 0, "sel:2/2 rd:0 wr:0"},
+    {"p_update", 128, 1, "fma:2/2 ld1:3/3 st1:1/1 sel:2/2 pred:1/2 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"p_update", 128, 7, "fma:8/14 ld1:12/21 st1:4/7 sel:2/2 pred:4/8 int:4/7 branch:4/7 rd:168 wr:56"},
+    {"p_update", 128, 8, "fma:8/16 ld1:12/24 st1:4/8 sel:2/2 pred:4/8 int:4/8 branch:4/8 rd:192 wr:64"},
+    {"p_update", 128, 9, "fma:10/18 ld1:15/27 st1:5/9 sel:2/2 pred:5/10 int:5/9 branch:5/9 rd:216 wr:72"},
+    {"p_update", 128, 200, "fma:200/400 ld1:300/600 st1:100/200 sel:2/2 pred:100/200 int:100/200 branch:100/200 rd:4800 wr:1600"},
+    {"p_update", 512, 0, "sel:2/2 rd:0 wr:0"},
+    {"p_update", 512, 1, "fma:2/2 ld1:3/3 st1:1/1 sel:2/2 pred:1/8 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"p_update", 512, 7, "fma:2/14 ld1:3/21 st1:1/7 sel:2/2 pred:1/8 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"p_update", 512, 8, "fma:2/16 ld1:3/24 st1:1/8 sel:2/2 pred:1/8 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"p_update", 512, 9, "fma:4/18 ld1:6/27 st1:2/9 sel:2/2 pred:2/16 int:2/9 branch:2/9 rd:216 wr:72"},
+    {"p_update", 512, 200, "fma:50/400 ld1:75/600 st1:25/200 sel:2/2 pred:25/200 int:25/200 branch:25/200 rd:4800 wr:1600"},
+    {"p_update", 2048, 0, "sel:2/2 rd:0 wr:0"},
+    {"p_update", 2048, 1, "fma:2/2 ld1:3/3 st1:1/1 sel:2/2 pred:1/32 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"p_update", 2048, 7, "fma:2/14 ld1:3/21 st1:1/7 sel:2/2 pred:1/32 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"p_update", 2048, 8, "fma:2/16 ld1:3/24 st1:1/8 sel:2/2 pred:1/32 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"p_update", 2048, 9, "fma:2/18 ld1:3/27 st1:1/9 sel:2/2 pred:1/32 int:1/9 branch:1/9 rd:216 wr:72"},
+    {"p_update", 2048, 200, "fma:14/400 ld1:21/600 st1:7/200 sel:2/2 pred:7/224 int:7/200 branch:7/200 rd:4800 wr:1600"},
+    {"hadamard_dot2", 128, 0, "reduce:2/4 sel:2/2 pred:1/2 rd:0 wr:0"},
+    {"hadamard_dot2", 128, 1, "fmul:1/1 fma:2/2 ld1:2/2 st1:1/1 reduce:2/4 sel:2/2 pred:2/4 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"hadamard_dot2", 128, 7, "fmul:4/7 fma:8/14 ld1:8/14 st1:4/7 reduce:2/4 sel:2/2 pred:5/10 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"hadamard_dot2", 128, 8, "fmul:4/8 fma:8/16 ld1:8/16 st1:4/8 reduce:2/4 sel:2/2 pred:5/10 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"hadamard_dot2", 128, 9, "fmul:5/9 fma:10/18 ld1:10/18 st1:5/9 reduce:2/4 sel:2/2 pred:6/12 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"hadamard_dot2", 128, 200, "fmul:100/200 fma:200/400 ld1:200/400 st1:100/200 reduce:2/4 sel:2/2 pred:101/202 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"hadamard_dot2", 512, 0, "reduce:2/16 sel:2/2 pred:1/8 rd:0 wr:0"},
+    {"hadamard_dot2", 512, 1, "fmul:1/1 fma:2/2 ld1:2/2 st1:1/1 reduce:2/16 sel:2/2 pred:2/16 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"hadamard_dot2", 512, 7, "fmul:1/7 fma:2/14 ld1:2/14 st1:1/7 reduce:2/16 sel:2/2 pred:2/16 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"hadamard_dot2", 512, 8, "fmul:1/8 fma:2/16 ld1:2/16 st1:1/8 reduce:2/16 sel:2/2 pred:2/16 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"hadamard_dot2", 512, 9, "fmul:2/9 fma:4/18 ld1:4/18 st1:2/9 reduce:2/16 sel:2/2 pred:3/24 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"hadamard_dot2", 512, 200, "fmul:25/200 fma:50/400 ld1:50/400 st1:25/200 reduce:2/16 sel:2/2 pred:26/208 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"hadamard_dot2", 2048, 0, "reduce:2/64 sel:2/2 pred:1/32 rd:0 wr:0"},
+    {"hadamard_dot2", 2048, 1, "fmul:1/1 fma:2/2 ld1:2/2 st1:1/1 reduce:2/64 sel:2/2 pred:2/64 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"hadamard_dot2", 2048, 7, "fmul:1/7 fma:2/14 ld1:2/14 st1:1/7 reduce:2/64 sel:2/2 pred:2/64 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"hadamard_dot2", 2048, 8, "fmul:1/8 fma:2/16 ld1:2/16 st1:1/8 reduce:2/64 sel:2/2 pred:2/64 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"hadamard_dot2", 2048, 9, "fmul:1/9 fma:2/18 ld1:2/18 st1:1/9 reduce:2/64 sel:2/2 pred:2/64 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"hadamard_dot2", 2048, 200, "fmul:7/200 fma:14/400 ld1:14/400 st1:7/200 reduce:2/64 sel:2/2 pred:8/256 int:7/200 branch:7/200 rd:3200 wr:1600"},
+    {"hadamard_update_dot2", 128, 0, "reduce:2/4 sel:3/3 pred:1/2 rd:0 wr:0"},
+    {"hadamard_update_dot2", 128, 1, "fmul:1/1 fma:3/3 ld1:3/3 st1:2/2 reduce:2/4 sel:3/3 pred:2/4 int:1/1 branch:1/1 rd:24 wr:16"},
+    {"hadamard_update_dot2", 128, 7, "fmul:4/7 fma:12/21 ld1:12/21 st1:8/14 reduce:2/4 sel:3/3 pred:5/10 int:4/7 branch:4/7 rd:168 wr:112"},
+    {"hadamard_update_dot2", 128, 8, "fmul:4/8 fma:12/24 ld1:12/24 st1:8/16 reduce:2/4 sel:3/3 pred:5/10 int:4/8 branch:4/8 rd:192 wr:128"},
+    {"hadamard_update_dot2", 128, 9, "fmul:5/9 fma:15/27 ld1:15/27 st1:10/18 reduce:2/4 sel:3/3 pred:6/12 int:5/9 branch:5/9 rd:216 wr:144"},
+    {"hadamard_update_dot2", 128, 200, "fmul:100/200 fma:300/600 ld1:300/600 st1:200/400 reduce:2/4 sel:3/3 pred:101/202 int:100/200 branch:100/200 rd:4800 wr:3200"},
+    {"hadamard_update_dot2", 512, 0, "reduce:2/16 sel:3/3 pred:1/8 rd:0 wr:0"},
+    {"hadamard_update_dot2", 512, 1, "fmul:1/1 fma:3/3 ld1:3/3 st1:2/2 reduce:2/16 sel:3/3 pred:2/16 int:1/1 branch:1/1 rd:24 wr:16"},
+    {"hadamard_update_dot2", 512, 7, "fmul:1/7 fma:3/21 ld1:3/21 st1:2/14 reduce:2/16 sel:3/3 pred:2/16 int:1/7 branch:1/7 rd:168 wr:112"},
+    {"hadamard_update_dot2", 512, 8, "fmul:1/8 fma:3/24 ld1:3/24 st1:2/16 reduce:2/16 sel:3/3 pred:2/16 int:1/8 branch:1/8 rd:192 wr:128"},
+    {"hadamard_update_dot2", 512, 9, "fmul:2/9 fma:6/27 ld1:6/27 st1:4/18 reduce:2/16 sel:3/3 pred:3/24 int:2/9 branch:2/9 rd:216 wr:144"},
+    {"hadamard_update_dot2", 512, 200, "fmul:25/200 fma:75/600 ld1:75/600 st1:50/400 reduce:2/16 sel:3/3 pred:26/208 int:25/200 branch:25/200 rd:4800 wr:3200"},
+    {"hadamard_update_dot2", 2048, 0, "reduce:2/64 sel:3/3 pred:1/32 rd:0 wr:0"},
+    {"hadamard_update_dot2", 2048, 1, "fmul:1/1 fma:3/3 ld1:3/3 st1:2/2 reduce:2/64 sel:3/3 pred:2/64 int:1/1 branch:1/1 rd:24 wr:16"},
+    {"hadamard_update_dot2", 2048, 7, "fmul:1/7 fma:3/21 ld1:3/21 st1:2/14 reduce:2/64 sel:3/3 pred:2/64 int:1/7 branch:1/7 rd:168 wr:112"},
+    {"hadamard_update_dot2", 2048, 8, "fmul:1/8 fma:3/24 ld1:3/24 st1:2/16 reduce:2/64 sel:3/3 pred:2/64 int:1/8 branch:1/8 rd:192 wr:128"},
+    {"hadamard_update_dot2", 2048, 9, "fmul:1/9 fma:3/27 ld1:3/27 st1:2/18 reduce:2/64 sel:3/3 pred:2/64 int:1/9 branch:1/9 rd:216 wr:144"},
+    {"hadamard_update_dot2", 2048, 200, "fmul:7/200 fma:21/600 ld1:21/600 st1:14/400 reduce:2/64 sel:3/3 pred:8/256 int:7/200 branch:7/200 rd:4800 wr:3200"},
+};
+
+/// One rank's simulated clock and an FNV-1a digest of its full cost ledger
+/// (see ledger_digest).
+struct GoldenRank {
+  std::size_t profile;
+  std::size_t rank;
+  double clock;
+  std::uint64_t ledger;
+};
+
+// SimulationOnMatchesGoldenAndBeatsOff: 48×24, ns = 2, 2 steps, cray + gnu.
+constexpr GoldenRank kSimOn[] = {
+    {0, 0, 0x1.a9f608f011878p-10, 0xabfe745376cf36baULL},
+    {1, 0, 0x1.d90ae094c8d6ap-9, 0x89198ffa00329775ULL},
+};
+constexpr GoldenRank kSimOff[] = {
+    {0, 0, 0x1.b9f2fd576fe1ep-10, 0x0412a010ae06c074ULL},
+    {1, 0, 0x1.f96e46bbc5905p-9, 0x376136461a5c6a18ULL},
+};
+// MixedFuseFarmBitIdenticalToSolo: gaussian-pulse 48×24 on 2×1 ranks.
+constexpr GoldenRank kFarmOn[] = {
+    {0, 0, 0x1.4b35967ae3137p-10, 0x79ea478604875a62ULL},
+    {0, 1, 0x1.4b35967ae3137p-10, 0x924449d28ecf7295ULL},
+};
+constexpr GoldenRank kFarmOff[] = {
+    {0, 0, 0x1.1c1c775fcc34fp-10, 0x149e2d5569d7c81dULL},
+    {0, 1, 0x1.1c1c775fcc34fp-10, 0x8093ac379b21122aULL},
+};
+
+std::string format_counts(const sim::KernelCounts& c) {
+  std::string s;
+  char buf[96];
+  for (std::size_t i = 0; i < sim::kNumOpClasses; ++i) {
+    if (c.instr[i] == 0 && c.lanes[i] == 0) continue;
+    std::snprintf(buf, sizeof buf, "%s%s:%llu/%llu", s.empty() ? "" : " ",
+                  sim::op_class_name(static_cast<sim::OpClass>(i)),
+                  static_cast<unsigned long long>(c.instr[i]),
+                  static_cast<unsigned long long>(c.lanes[i]));
+    s += buf;
+  }
+  std::snprintf(buf, sizeof buf, " rd:%llu wr:%llu",
+                static_cast<unsigned long long>(c.bytes_read),
+                static_cast<unsigned long long>(c.bytes_written));
+  return s + buf;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Every field of every region, in region order: names, the cycle and
+/// communication doubles bit for bit, and the full KernelCounts.
+std::uint64_t ledger_digest(const sim::CostLedger& l) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& [name, rc] : l.regions()) {
+    h = fnv1a(h, name.data(), name.size() + 1);
+    const double ds[] = {rc.compute_cycles, rc.memory_cycles,
+                         rc.overhead_cycles, rc.total_cycles,
+                         rc.comm_seconds};
+    h = fnv1a(h, ds, sizeof ds);
+    const std::uint64_t us[] = {rc.comm_messages,       rc.comm_bytes,
+                                rc.counts.bytes_read,   rc.counts.bytes_written,
+                                rc.counts.elements,     rc.counts.calls};
+    h = fnv1a(h, us, sizeof us);
+    h = fnv1a(h, rc.counts.instr.data(), sizeof(rc.counts.instr));
+    h = fnv1a(h, rc.counts.lanes.data(), sizeof(rc.counts.lanes));
+  }
+  return h;
+}
+
+template <std::size_t N>
+void expect_golden(const testutil::SimCapture& c, const GoldenRank (&g)[N],
+                   const std::string& label) {
+  std::size_t ranks = 0;
+  for (const auto& p : c.clocks) ranks += p.size();
+  ASSERT_EQ(ranks, N) << label;
+  for (const GoldenRank& e : g) {
+    EXPECT_EQ(c.clocks[e.profile][e.rank], e.clock)
+        << label << " profile " << e.profile << " rank " << e.rank;
+    EXPECT_EQ(ledger_digest(c.ledgers[e.profile][e.rank]), e.ledger)
+        << label << " ledger, profile " << e.profile << " rank " << e.rank;
+  }
+}
+
+void expect_same_fields(const testutil::SimCapture& a,
+                        const testutil::SimCapture& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.time, b.time) << label;
+  EXPECT_EQ(a.steps, b.steps) << label;
+  ASSERT_EQ(a.field.size(), b.field.size()) << label;
+  EXPECT_EQ(std::memcmp(a.field.data(), b.field.data(),
+                        a.field.size() * sizeof(double)),
+            0)
+      << label;
+}
+
+/// The planner-generated composites record exactly what the hand-written
+/// ones did, in both exec modes, at every VL and tail shape pinned.
+TEST(PlannedComposites, CountsMatchGoldenAcrossVlAndTails) {
+  for (const GoldenCounts& g : kGoldenCounts) {
+    for (const auto mode : {VlaExecMode::Interpret, VlaExecMode::Native}) {
+      Context ctx(VectorArch(g.vl_bits), mode);
+      Rng rng(5);
+      std::vector<double> a(g.n), b(g.n), c(g.n), d(g.n);
+      for (auto* v : {&a, &b, &c, &d})
+        for (auto& x : *v) x = rng.uniform(-1.0, 1.0);
+      DdLanes l1, l2;
+      const std::string name = g.composite;
+      if (name == "axpy_out") {
+        fusion::axpy_out(ctx, a, 0.3, b, c);
+      } else if (name == "p_update") {
+        fusion::p_update(ctx, a, 0.3, 0.7, b, c);
+      } else if (name == "hadamard_dot2") {
+        fusion::hadamard_dot2(ctx, a, b, c, l1, l2);
+      } else {
+        ASSERT_EQ(name, "hadamard_update_dot2");
+        fusion::hadamard_update_dot2(ctx, a, 0.3, b, c, d, l1, l2);
+      }
+      EXPECT_EQ(format_counts(ctx.take_counts()), g.counts)
+          << name << " vl=" << g.vl_bits << " n=" << g.n
+          << (mode == VlaExecMode::Native ? " native" : " interpret");
+    }
+  }
+}
+
 // --- 3. DAG capture -----------------------------------------------------------
 
-TEST(DagCapture, RecordsFirstPlanIterationOncePerConfiguration) {
+TEST(DagCapture, RecordsFirstFusedIterationOncePerConfiguration) {
   Problem prob(24, 16, 1);
   fill_operator(prob.A, 1234);
   ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
-                  FuseMode::Plan);
+                  FuseMode::On);
   auto M = make_preconditioner("jacobi", ctx, prob.A);
   DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
   randomize(b, 99);
@@ -259,18 +481,30 @@ TEST(DagCapture, RecordsFirstPlanIterationOncePerConfiguration) {
   EXPECT_EQ(ctx.vctx.dag_store().size(), 2u);
 }
 
-TEST(DagCapture, OffAndOnModesNeverRecord) {
-  for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
+/// Off never records; the "plan" alias records exactly what "on" does.
+TEST(DagCapture, OffNeverRecordsAndPlanAliasRecordsLikeOn) {
+  std::string on_dump;
+  for (const char* fuse : {"off", "on", "plan"}) {
     Problem prob(24, 16, 1);
     fill_operator(prob.A, 1234);
-    ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native, fuse);
+    ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
+                    fuse_mode_from_name(fuse));
     auto M = make_preconditioner("jacobi", ctx, prob.A);
     DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
     randomize(b, 99);
     x.fill(ctx, 0.0);
     CgSolver cg(prob.g, prob.d, 1);
     ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
-    EXPECT_EQ(ctx.vctx.dag_store().size(), 0u);
+    const std::string mode = fuse;
+    if (mode == "off") {
+      EXPECT_EQ(ctx.vctx.dag_store().size(), 0u);
+    } else {
+      EXPECT_EQ(ctx.vctx.dag_store().size(), 1u) << mode;
+      if (mode == "on")
+        on_dump = ctx.vctx.dag_store().dump_all();
+      else
+        EXPECT_EQ(on_dump, ctx.vctx.dag_store().dump_all());
+    }
   }
 }
 
@@ -283,7 +517,7 @@ TEST(DagCapture, DumpInvariantUnderHostThreads) {
     Problem prob(24, 16, 1, 2, 2);
     fill_operator(prob.A, 77);
     ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
-                    FuseMode::Plan);
+                    FuseMode::On);
     auto M = make_preconditioner("spai0", ctx, prob.A);
     DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
     randomize(b, 3);
@@ -300,19 +534,18 @@ TEST(DagCapture, DumpInvariantUnderHostThreads) {
   set_host_threads(0);
 }
 
-// --- 4. differential: plan vs off vs on ---------------------------------------
+// --- 4. differential: on vs off and the golden values -------------------------
 
-/// Every solver/precond/exec-mode/VL combination: --fuse plan reproduces
-/// the off and on trajectories bit-for-bit.  VL 2048 leaves a 22-element
-/// row as pure tail (vl = 32); VL 512 splits it 8+8+6.
-TEST(PlannedSolvers, TrajectoryMatchesOffAndOnAcrossTheMatrix) {
+/// Every solver/precond/exec-mode/VL combination: --fuse on reproduces the
+/// off trajectory bit-for-bit.  VL 2048 leaves a 22-element row as pure
+/// tail (vl = 32); VL 512 splits it 8+8+6.
+TEST(PlannedSolvers, TrajectoryMatchesOffAcrossTheMatrix) {
   for (const auto mode : {VlaExecMode::Native, VlaExecMode::Interpret}) {
     for (const std::string precond : {"jacobi", "spai0", "mg"}) {
       for (const unsigned bits : {512u, 2048u}) {
         for (const bool use_cg : {true, false}) {
-          SolveOutcome out[3];
-          for (const auto fuse :
-               {FuseMode::Off, FuseMode::On, FuseMode::Plan}) {
+          SolveOutcome out[2];
+          for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
             Problem prob(22, 14, 1, 2, 1);
             fill_operator(prob.A, 4242);
             ExecContext ctx(VectorArch(bits), nullptr, mode, fuse);
@@ -337,21 +570,17 @@ TEST(PlannedSolvers, TrajectoryMatchesOffAndOnAcrossTheMatrix) {
               std::string(use_cg ? "cg/" : "bicgstab/") + precond + "/vl" +
               std::to_string(bits) +
               (mode == VlaExecMode::Native ? "/native" : "/interpret");
-          const auto off = static_cast<int>(FuseMode::Off);
-          const auto on = static_cast<int>(FuseMode::On);
-          const auto plan = static_cast<int>(FuseMode::Plan);
-          expect_same_trajectory(out[off], out[plan], label + " off/plan");
-          expect_same_trajectory(out[on], out[plan], label + " on/plan");
+          expect_same_trajectory(out[0], out[1], label + " off/on");
         }
       }
     }
   }
 }
 
-/// End-to-end Simulation contract: plan fields are bit-identical to off
-/// and on, plan clocks and full ledgers are bit-identical to on (same
-/// composites, now planner-emitted), and plan beats off on every profile.
-TEST(PlannedSolvers, SimulationPlanMatchesOnExactlyAndBeatsOff) {
+/// End-to-end Simulation contract: on fields are bit-identical to off,
+/// on and off clocks and full ledgers equal their golden values, and on
+/// beats off on every profile.
+TEST(PlannedSolvers, SimulationOnMatchesGoldenAndBeatsOff) {
   core::RunConfig cfg;
   cfg.nx1 = 48;
   cfg.nx2 = 24;
@@ -359,36 +588,29 @@ TEST(PlannedSolvers, SimulationPlanMatchesOnExactlyAndBeatsOff) {
   cfg.steps = 2;
   cfg.compilers = {"cray", "gnu"};
 
-  testutil::SimCapture caps[3];
-  const char* modes[3] = {"off", "on", "plan"};
-  for (int i = 0; i < 3; ++i) {
+  testutil::SimCapture caps[2];
+  const char* modes[2] = {"off", "on"};
+  for (int i = 0; i < 2; ++i) {
     cfg.fuse = modes[i];
     core::Simulation sim(cfg);
     sim.run();
     caps[i] = testutil::capture(sim);
   }
 
-  // Fields/trajectory: all three identical.
-  ASSERT_EQ(caps[0].field.size(), caps[2].field.size());
-  EXPECT_EQ(std::memcmp(caps[0].field.data(), caps[2].field.data(),
-                        caps[0].field.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(caps[0].time, caps[2].time);
-  EXPECT_EQ(caps[0].steps, caps[2].steps);
+  expect_same_fields(caps[0], caps[1], "off-vs-on");
+  expect_golden(caps[0], kSimOff, "off");
+  expect_golden(caps[1], kSimOn, "on");
 
-  // Clocks + ledgers: plan == on exactly.
-  testutil::expect_captures_identical(caps[1], caps[2], "on-vs-plan");
-
-  // And plan is strictly cheaper than off on every profile clock.
   for (std::size_t p = 0; p < caps[0].clocks.size(); ++p)
     for (std::size_t r = 0; r < caps[0].clocks[p].size(); ++r)
-      EXPECT_LT(caps[2].clocks[p][r], caps[0].clocks[p][r])
+      EXPECT_LT(caps[1].clocks[p][r], caps[0].clocks[p][r])
           << "profile " << p << " rank " << r;
 }
 
-/// Mixed-fuse farm regression (memo-key separation): off/on/plan jobs
-/// sharing one farm — and its shared per-VL count caches — reproduce
-/// their solo runs exactly, and the plan job still equals the on job.
+/// Mixed-fuse farm regression (memo-key separation): off and on jobs
+/// sharing one farm — and its shared per-VL count caches — reproduce their
+/// solo runs exactly, the second on job equals the first, and both modes
+/// equal their golden values.
 TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
   core::RunConfig base;
   base.problem = "gaussian-pulse";
@@ -401,11 +623,11 @@ TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
   base.host_threads = 1;
 
   std::vector<farm::FarmJob> jobs;
-  for (const char* fuse : {"off", "on", "plan", "plan"}) {
+  for (const char* fuse : {"off", "on", "on"}) {
     core::RunConfig cfg = base;
     cfg.fuse = fuse;
     jobs.push_back({std::string("pulse-") + fuse +
-                        (jobs.size() == 3 ? "-again" : ""),
+                        (jobs.size() == 2 ? "-again" : ""),
                     cfg});
   }
 
@@ -430,14 +652,16 @@ TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
 
   for (std::size_t i = 0; i < jobs.size(); ++i)
     testutil::expect_captures_identical(solo[i], farmed[i], jobs[i].name);
-  // The plan jobs equal the on job exactly — no cache cross-talk in
-  // either direction.
-  testutil::expect_captures_identical(farmed[1], farmed[2], "on-vs-plan");
-  testutil::expect_captures_identical(farmed[2], farmed[3], "plan-vs-plan");
+  expect_same_fields(farmed[0], farmed[1], "off-vs-on");
+  expect_golden(farmed[0], kFarmOff, "off");
+  expect_golden(farmed[1], kFarmOn, "on");
+  // No cache cross-talk between same-mode jobs either.
+  testutil::expect_captures_identical(farmed[1], farmed[2], "on-vs-on");
 }
 
-/// The fuse knob is pinned in checkpoints: a plan checkpoint refuses to
-/// resume under a different mode.
+/// The fuse knob is pinned in checkpoints under its canonical name: a
+/// checkpoint that stores "plan" (as older ones do) resumes under "on" and
+/// under "plan", and is refused under "off".
 TEST(PlannedSolvers, FuseModePinnedAcrossRestart) {
   const std::string path = ::testing::TempDir() + "/fuse_pin.h5l";
   core::RunConfig cfg;
@@ -450,27 +674,40 @@ TEST(PlannedSolvers, FuseModePinnedAcrossRestart) {
     core::Simulation sim(cfg);
     sim.run();
   }
+  {
+    // The writer stores the canonical name; rewrite it the way a
+    // checkpoint from before the alias stored it.
+    io::H5File file = io::H5File::load(path);
+    io::Group& knobs = file.root().group("config");
+    EXPECT_EQ(knobs.attr_str("fuse"), "on");
+    knobs.set_attr("fuse", std::string("plan"));
+    file.save(path);
+  }
   core::RunConfig wrong = cfg;
   wrong.fuse = "off";
   core::Simulation resumed(wrong);
   EXPECT_THROW(resumed.restart(path), Error);
-  core::RunConfig right = cfg;
-  right.steps = 3;
-  core::Simulation ok(right);
-  ok.restart(path);
+  for (const char* fuse : {"on", "plan"}) {
+    core::RunConfig right = cfg;
+    right.fuse = fuse;
+    right.steps = 3;
+    core::Simulation ok(right);
+    EXPECT_NO_THROW(ok.restart(path)) << fuse;
+  }
   std::remove(path.c_str());
 }
 
-TEST(FuseModeNames, TriStateRoundTripAndError) {
+TEST(FuseModeNames, TwoStateRoundTripPlanAliasAndError) {
   EXPECT_EQ(fuse_mode_from_name("off"), FuseMode::Off);
   EXPECT_EQ(fuse_mode_from_name("on"), FuseMode::On);
-  EXPECT_EQ(fuse_mode_from_name("plan"), FuseMode::Plan);
-  EXPECT_STREQ(fuse_mode_name(FuseMode::Plan), "plan");
+  EXPECT_EQ(fuse_mode_from_name("plan"), FuseMode::On);
+  EXPECT_STREQ(fuse_mode_name(FuseMode::Off), "off");
+  EXPECT_STREQ(fuse_mode_name(FuseMode::On), "on");
   try {
     (void)fuse_mode_from_name("auto");
     FAIL() << "expected an error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("off|on|plan"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("off|on"), std::string::npos);
   }
 }
 

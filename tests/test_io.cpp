@@ -200,5 +200,62 @@ TEST(H5Lite, DatasetOverwriteReplaces) {
   EXPECT_EQ(f.root().dataset("x").element_count(), 2u);
 }
 
+/// Group nesting is bounded so a crafted file cannot recurse the reader off
+/// the end of the stack: 64 levels below the root load, 65 are refused.
+TEST(H5Lite, GroupNestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    H5File f;
+    Group* g = &f.root();
+    for (int d = 0; d < depth; ++d) g = &g->create_group("g");
+    g->set_attr("leaf", std::int64_t{depth});
+    return f.serialize();
+  };
+  EXPECT_NO_THROW((void)H5File::deserialize(nested(64)));
+  try {
+    (void)H5File::deserialize(nested(65));
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("deeper than 64"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The crash case: a stream of 100,000 nested groups, each header written
+/// directly (no in-memory tree), is refused at the bound, not by SIGSEGV.
+TEST(H5Lite, CraftedDeepNestingRejected) {
+  std::vector<std::uint8_t> bytes = H5File{}.serialize();
+  bytes.resize(8);  // magic + version
+  const auto u32 = [&bytes](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (int d = 0; d < 100000; ++d) {
+    u32(0);  // attributes
+    u32(0);  // datasets
+    u32(1);  // child groups
+    u32(1);  // child name length
+    bytes.push_back('g');
+  }
+  EXPECT_THROW((void)H5File::deserialize(bytes), Error);
+}
+
+/// Reading an attribute as the wrong kind names the attribute and the
+/// kind it holds instead of escaping as std::bad_variant_access.
+TEST(H5Lite, AttributeKindMismatchNamesTheAttribute) {
+  H5File f;
+  f.root().set_attr("code", std::int64_t{7});
+  const H5File back = H5File::deserialize(f.serialize());
+  try {
+    (void)back.root().attr_str("code");
+    FAIL() << "expected an error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'code'"), std::string::npos) << what;
+    EXPECT_NE(what.find("an integer"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)back.root().attr_f64("code"), Error);
+  EXPECT_EQ(back.root().attr_i64("code"), 7);
+}
+
 }  // namespace
 }  // namespace v2d::io
