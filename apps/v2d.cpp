@@ -33,7 +33,6 @@
 #include "scenario/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
-#include "support/task_graph.hpp"
 #include "support/units.hpp"
 #include "vla/vla.hpp"
 
@@ -42,7 +41,7 @@ namespace {
 int run_farm(const std::string& job_path, const v2d::Options& opt) {
   using namespace v2d;
   farm::FarmOptions fopt;
-  fopt.host_threads = opt.get_int<int>("host-threads");
+  fopt.host_threads = core::RunConfig::host_threads_option(opt);
   fopt.max_concurrent = opt.get_int<int>("farm-max-concurrent");
   fopt.fault_plan = resilience::FaultPlan(
       opt.get_int<std::uint64_t>("fault-seed"), opt.get("fault-spec"));
@@ -203,10 +202,6 @@ int main(int argc, char** argv) {
 
     std::cout << "\nscenario check (analytic error / conservation drift): "
               << sim.analytic_error() << '\n';
-    if (cfg.host_sched == "graph")
-      std::cout << perfmon::format_host_sched(
-                       perfmon::HostSchedStats::of(task_graph::stats()))
-                << '\n';
     if (!cfg.checkpoint_path.empty())
       std::cout << "checkpoint written to " << cfg.checkpoint_path << '\n';
     if (!sim.recovery().empty()) {

@@ -6,6 +6,7 @@
 #include "linalg/precond.hpp"
 #include "scenario/registry.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "vla/vla.hpp"
 
 namespace v2d::core {
@@ -53,17 +54,14 @@ void RunConfig::register_options(Options& opt) {
   opt.add("vector-bits", "512", "SVE vector length (128..2048)");
   opt.add("host-threads", "0",
           "host threads for rank-parallel execution (0 = hardware "
-          "concurrency); results are identical at any value");
+          "concurrency, at most " + std::to_string(kMaxHostThreads) +
+              "); results are identical at any value");
   opt.add("vla-exec", "native",
           "VLA execution backend: native (fast path) | interpret (reference)");
   opt.add("fuse", "off",
           "fused-kernel execution: off (reference kernel-per-pass sequence) "
           "| on (planner-generated one-pass groups; see src/linalg/fusion/); "
           "plan is an alias of on");
-  opt.add("host-sched", "barrier",
-          "host execution scheduler: barrier (fork/join pool per kernel) | "
-          "graph (dependency-scheduled task graph with halo/compute "
-          "overlap); results are bit-identical in both modes");
   opt.add_flag("dump-fusion-plan",
                "print the built-in fusion plans and every captured "
                "solver-iteration kernel DAG after the run (host-only debug)");
@@ -129,18 +127,25 @@ RunConfig RunConfig::from_options(const Options& opt) {
   }
   V2D_REQUIRE(!c.compilers.empty(), "need at least one compiler profile");
   c.vector_bits = opt.get_int<unsigned>("vector-bits");
-  c.host_threads = opt.get_int<int>("host-threads");
+  c.host_threads = host_threads_option(opt);
   c.vla_exec = opt.get("vla-exec");
   (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
   c.fuse = opt.get("fuse");
   (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
-  c.host_sched = opt.get("host-sched");
-  (void)linalg::host_sched_from_name(c.host_sched);  // validate early
   c.dump_fusion_plan = opt.get_bool("dump-fusion-plan");
   c.checkpoint_path = opt.get("checkpoint");
   c.checkpoint_every = opt.get_int<int>("checkpoint-every");
   c.restart_path = opt.get("restart");
   return c;
+}
+
+int RunConfig::host_threads_option(const Options& opt) {
+  const int n = opt.get_int<int>("host-threads");
+  if (n < 0 || n > kMaxHostThreads)
+    throw Error("option --host-threads value " + std::to_string(n) +
+                " is out of range [0, " + std::to_string(kMaxHostThreads) +
+                "] (0 = hardware concurrency)");
+  return n;
 }
 
 }  // namespace v2d::core

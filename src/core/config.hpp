@@ -53,8 +53,8 @@ struct RunConfig {
   // --- simulated platform ---
   std::vector<std::string> compilers = {"cray"};  ///< profile short names
   unsigned vector_bits = 512;
-  /// Host threads for rank-parallel execution (0 = hardware concurrency).
-  /// Purely a host wall-clock knob: results, recordings and simulated
+  /// Host threads for rank-parallel execution (0 = hardware concurrency,
+  /// at most kMaxHostThreads).  Purely a host wall-clock knob: results, recordings and simulated
   /// clocks are bit-identical at any value.  Applied to the process-wide
   /// pool when a Simulation is constructed.
   int host_threads = 0;
@@ -72,15 +72,6 @@ struct RunConfig {
   /// alias of "on".  Both modes produce identical numerics; "on" moves
   /// fewer bytes, so host time and simulated cycles drop.
   std::string fuse = "off";
-  /// Host execution scheduler for rank-parallel regions: "barrier"
-  /// (default) forks and joins the pool at every kernel; "graph" runs
-  /// solver regions as a dependency-scheduled task graph on resident
-  /// workers — per-rank kernel chains, halo packing overlapped with
-  /// interior compute (see src/support/task_graph.hpp).  Purely a host
-  /// wall-clock knob: results, recordings, ledgers and simulated clocks
-  /// are bit-identical in both modes.  Pinned in checkpoints like --fuse
-  /// so a restarted run records the configuration it was priced under.
-  std::string host_sched = "barrier";
   /// Print the built-in fusion plans and every captured kernel DAG after
   /// the run.  Host-only debug output — prices nothing, so not pinned in
   /// checkpoints.
@@ -120,6 +111,10 @@ struct RunConfig {
   static void register_options(Options& opt);
   /// Build from parsed options.
   static RunConfig from_options(const Options& opt);
+  /// --host-threads, checked to lie in [0, kMaxHostThreads]; throws
+  /// v2d::Error naming the option otherwise.  Shared with the farm driver,
+  /// which sizes the pool from its own command line.
+  static int host_threads_option(const Options& opt);
 };
 
 }  // namespace v2d::core

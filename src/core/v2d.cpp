@@ -131,7 +131,9 @@ std::string canonical_fuse(const std::string& name) {
 /// stored in the checkpoint and checked on resume.  Run-control knobs
 /// (steps, checkpoint cadence, restart path) and host-only knobs
 /// (host_threads, vla_exec — both provably bit-identical across settings)
-/// are deliberately not pinned.
+/// are deliberately not pinned.  Restore compares only this list, so
+/// attributes of retired knobs in older checkpoints (host_sched) are
+/// ignored.
 std::vector<std::pair<std::string, std::string>> pinned_knobs(
     const RunConfig& cfg) {
   auto num = [](double v) {
@@ -159,7 +161,6 @@ std::vector<std::pair<std::string, std::string>> pinned_knobs(
       {"mg_max_direct_zones", std::to_string(cfg.mg_max_direct_zones)},
       {"vector_bits", std::to_string(cfg.vector_bits)},
       {"fuse", canonical_fuse(cfg.fuse)},
-      {"host_sched", cfg.host_sched},
       {"solver_fallbacks", join(cfg.solver_fallbacks)},
   };
 }
@@ -188,7 +189,6 @@ Simulation::Simulation(const RunConfig& cfg, sim::MachineSpec machine,
     ctx_ = linalg::ExecContext(vla::VectorArch(cfg.vector_bits), em_.get(),
                                exec_mode, fuse_mode);
   }
-  ctx_.sched = linalg::host_sched_from_name(cfg.host_sched);
 
   scenario::ProblemSetup setup;
   setup.cfg = &cfg_;

@@ -78,17 +78,10 @@ public:
   std::vector<mpisim::Transfer> exchange_ghosts();
 
   /// The Transfer list exchange_ghosts() would return, computed
-  /// analytically without copying any data.  Lets a task-graph caller
-  /// price the exchange up front (the collective is a join node) while the
-  /// actual strip copies run as overlap tasks (copy_halo / apply_bc_dir).
-  /// Identical element order and byte counts to exchange_ghosts().
+  /// analytically without copying any data (identical element order and
+  /// byte counts).  The library itself no longer calls it; the
+  /// benchmark's exchange-pricing probe (perfbench/src/probes.cpp) does.
   std::vector<mpisim::Transfer> ghost_transfer_plan() const;
-
-  /// Copy `rank`'s ghost strips for the x1 (West+East) or x2 (South+North)
-  /// direction pair from its face neighbours — the data movement of
-  /// exchange_ghosts() restricted to one rank and one axis, for overlap
-  /// scheduling.  Writes only `rank`'s own ghosts.
-  void copy_halo(int rank, bool x1_dirs);
 
   /// Ghost exchange that also fills the diagonal (corner) ghosts, via the
   /// standard two-phase trick: first all x1-direction columns, then the
@@ -100,28 +93,12 @@ public:
   /// left to apply_bc().
   std::vector<mpisim::Transfer> exchange_ghosts_full();
 
-  /// The Transfer list exchange_ghosts_full() would return, computed
-  /// analytically — the full-exchange counterpart of
-  /// ghost_transfer_plan(), for task-graph callers that price the
-  /// corner-filling exchange up front and run the copies as overlap
-  /// tasks.  Identical order and byte counts to exchange_ghosts_full().
-  std::vector<mpisim::Transfer> ghost_transfer_plan_full() const;
-
-  /// One rank's share of exchange_ghosts_full()'s second phase: copy the
-  /// S/N ghost rows over the *padded* width so corner values arrive
-  /// through the face neighbours' already-filled ghost columns.  Writes
-  /// only `rank`'s own ghosts but reads the neighbours' interface rows
-  /// including their x1 ghosts — an overlap schedule must order this
-  /// after those ranks' x1-direction fills (copy_halo + apply_bc_dir).
-  void copy_halo_full_x2(int rank);
-
   /// Fill physical-boundary ghosts.
   void apply_bc(BcKind bc);
 
   /// One rank's share of apply_bc(), restricted to the x1 (West/East) or
-  /// x2 (South/North) domain edges.  apply_bc() is exactly the x1 pass
-  /// followed by the x2 pass for every rank, so overlap schedules that
-  /// split the passes into tasks compute bit-identical ghosts.
+  /// x2 (South/North) domain edges.  apply_bc() runs the x1 pass and then
+  /// the x2 pass for every rank.
   void apply_bc_dir(BcKind bc, int rank, bool x1_dirs);
 
   /// Gather the whole field (no ghosts) into a dense global array in

@@ -62,9 +62,6 @@ private:
   void sweep(linalg::ExecContext& ctx, HydroState& state, double dt,
              int direction);
   void fill_ghosts(linalg::ExecContext& ctx, HydroState& state);
-  /// One rank's share of fill_ghosts (halo copies, BCs, reflecting
-  /// fixup): the ghost task of the graph-mode overlap subgraph.
-  void fill_ghosts_rank(grid::DistField& f, int r) const;
   /// Reflecting walls: flip the wall-normal momentum in rank r's
   /// physical ghosts (own-tile reads and writes only).
   void reflect_rank(grid::DistField& f, int r) const;

@@ -43,9 +43,6 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
                  dag_key("bicgstab", M.name(),
                          static_cast<std::uint64_t>(x.global_size()),
                          ctx.vctx));
-  // One task-graph session for the whole solve under --host-sched graph
-  // (see CgSolver::solve); no-op under barrier scheduling.
-  task_graph::GraphRegion graph(ctx.sched == HostSched::Graph);
   // r0 = b − A·x0, r̂ = r0, p = r0.
   A.apply_residual(ctx, x, b, r);
   rhat.copy_from(ctx, r);
@@ -145,9 +142,6 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
                  dag_key("bicgstab-ganged", M.name(),
                          static_cast<std::uint64_t>(x.global_size()),
                          ctx.vctx));
-  // One task-graph session for the whole solve under --host-sched graph
-  // (see CgSolver::solve); no-op under barrier scheduling.
-  task_graph::GraphRegion graph(ctx.sched == HostSched::Graph);
   A.apply_residual(ctx, x, b, r);
   rhat.copy_from(ctx, r);
   p.copy_from(ctx, r);

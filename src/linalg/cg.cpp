@@ -23,11 +23,6 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
                  dag_key("cg", M.name(),
                          static_cast<std::uint64_t>(x.global_size()),
                          ctx.vctx));
-  // Under --host-sched graph the whole solve runs in one task-graph
-  // session: vector updates chain rank-to-rank, matvecs overlap halo
-  // packing with interior rows, and the dots' allreduce pricing forms the
-  // join nodes.  A no-op under barrier scheduling.
-  task_graph::GraphRegion graph(ctx.sched == HostSched::Graph);
 
   A.apply_residual(ctx, x, b, r);
   M.apply(ctx, r, z);

@@ -13,7 +13,6 @@
 
 #include "compiler/profile.hpp"
 #include "mpisim/exec_model.hpp"
-#include "support/task_graph.hpp"
 #include "support/thread_pool.hpp"
 #include "vla/vla.hpp"
 
@@ -56,33 +55,12 @@ inline FuseMode fuse_mode_from_name(const std::string& name) {
               "' (expected off|on; plan is an alias of on)");
 }
 
-/// Host execution scheduler for rank-parallel regions (--host-sched).
-///
-///   Barrier — every par_ranks site forks and joins the pool (the original
-///             model).  Default.
-///   Graph   — solver regions open a task_graph::Session: per-rank kernel
-///             tasks chain across consecutive operations with dependency
-///             edges instead of global barriers, and halo-exchange sites
-///             overlap ghost packing with interior compute.  Purely a host
-///             wall-clock knob — fields, recordings, ledgers and simulated
-///             clocks are bit-identical to Barrier (and to serial) — but
-///             it is pinned in checkpoints like --fuse so a restarted run
-///             records the same configuration it was priced under.
+/// Host scheduler tag.  The barrier pool (par_ranks → ThreadPool::run) is
+/// the only executor, so the tag has one value; the field is kept because
+/// perfbench/src/probes.cpp copies it, its only reader.
 enum class HostSched : std::uint8_t {
   Barrier,
-  Graph,
 };
-
-inline const char* host_sched_name(HostSched s) {
-  return s == HostSched::Graph ? "graph" : "barrier";
-}
-
-inline HostSched host_sched_from_name(const std::string& name) {
-  if (name == "barrier") return HostSched::Barrier;
-  if (name == "graph") return HostSched::Graph;
-  throw Error("unknown host scheduler '" + name +
-              "' (expected barrier|graph)");
-}
 
 struct ExecContext {
   vla::Context vctx;
@@ -114,12 +92,8 @@ struct ExecContext {
   /// concurrent rank tasks keep their instruction streams separate.
   /// Allocation-free beyond a shared_ptr bump — runs once per rank task.
   /// The DAG recorder is deliberately not propagated (capture stays on the
-  /// driving thread); the scheduler choice is.
-  ExecContext fork() const {
-    ExecContext out(vctx.fork(), em, fuse);
-    out.sched = sched;
-    return out;
-  }
+  /// driving thread).
+  ExecContext fork() const { return ExecContext(vctx.fork(), em, fuse); }
 
   /// Flush the recording accumulated since the last commit as one kernel
   /// call by `rank` touching a `working_set_bytes` footprint.
@@ -169,32 +143,14 @@ struct ExecContext {
     em->kernel(rank, family, region, c, working_set_bytes);
   }
 
-  /// Collective pricing is a join node: any chained rank tasks must have
-  /// committed their kernels before the barrier walks the rank clocks, so
-  /// both collectives drain the current task-graph session first (a no-op
-  /// under Barrier scheduling and on worker threads).
   void allreduce(std::uint64_t bytes,
                  const std::string& region = "mpi_allreduce") {
-    task_graph::sync_current();
-    allreduce_nosync(bytes, region);
-  }
-
-  /// Pipelined-reduction variant: prices the same collective stream but
-  /// skips the host-side drain.  Only valid when the caller has already
-  /// waited on a combine task that transitively covers every per-rank
-  /// kernel commit logically preceding this collective (dot_ganged's
-  /// partial tasks) — the priced ledgers are then identical to the
-  /// synced path while the chain state survives for speculative
-  /// next-stage submission.
-  void allreduce_nosync(std::uint64_t bytes,
-                        const std::string& region = "mpi_allreduce") {
     if (dag != nullptr) dag->barrier("allreduce");
     if (em != nullptr) em->allreduce(bytes, region);
   }
 
   void exchange(const std::vector<mpisim::Transfer>& transfers,
                 const std::string& region = "mpi_halo") {
-    task_graph::sync_current();
     if (dag != nullptr) dag->barrier("halo");
     if (em != nullptr) em->exchange(transfers, region);
   }
@@ -217,45 +173,6 @@ void par_ranks(ExecContext& ctx, const Dec& dec, Fn&& fn) {
     ExecContext rctx = ctx.fork();
     fn(r, rctx);
   });
-}
-
-/// Chain-domain key: stages on the same decomposition chain rank-to-rank;
-/// a DistField/DistVector-like `dec` is keyed by its underlying
-/// Decomposition so every vector of one solver shares a single chain.
-template <typename Dec>
-const void* chain_domain(const Dec& dec) {
-  if constexpr (requires { dec.decomp(); }) {
-    return static_cast<const void*>(&dec.decomp());
-  } else {
-    return static_cast<const void*>(&dec);
-  }
-}
-
-/// Chained variant of par_ranks for audited elementwise call sites: under
-/// an open task-graph session the per-rank tasks are *deferred* — task r
-/// of this stage waits only for task r of the previous stage on the same
-/// chain domain, not for a global barrier.  Outside a session (or from
-/// inside a session task) it degrades to the synchronous par_ranks.
-///
-/// Deferred execution is the one place lambda-capture lifetimes matter:
-/// `fn` is taken by value and must own everything it touches beyond
-/// objects that outlive the session's next join (the vectors themselves
-/// do; stack scalars and strings must be captured by value).  Collectives
-/// and any plain par_ranks drain the chain before running, so unaudited
-/// sites never observe a half-finished stage.
-template <typename Dec, typename Fn>
-void par_ranks_chain(ExecContext& ctx, const Dec& dec, Fn fn) {
-  task_graph::Session* ses = task_graph::current();
-  if (ses == nullptr || task_graph::in_task()) {
-    par_ranks(ctx, dec, std::move(fn));
-    return;
-  }
-  ExecContext* ctxp = &ctx;
-  ses->chain_stage(chain_domain(dec), dec.nranks(),
-                   [ctxp, fn = std::move(fn)](int r) {
-                     ExecContext rctx = ctxp->fork();
-                     fn(r, rctx);
-                   });
 }
 
 }  // namespace v2d::linalg

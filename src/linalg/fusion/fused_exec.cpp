@@ -1,5 +1,6 @@
 #include "linalg/fusion/fused_exec.hpp"
 
+#include <array>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -222,29 +223,57 @@ bool has_native_stamp(std::uint64_t sig) {
   return registry().find(sig) != registry().end();
 }
 
-void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
-  for (std::uint8_t gi = 0; gi < plan.ngroups; ++gi) {
-    const GroupProgram& g = plan.group[gi];
-    if (ctx.native()) {
-      ensure_registered();
-      const auto& reg = registry();
-      const auto it = reg.find(g.sig);
-      V2D_REQUIRE(it != reg.end(),
-                  "no native stamp registered for fused-op signature");
-      // Fused-group memo keys live in a signature-keyed space disjoint from
-      // the primitive KernelShape keys (bit 63 set, stamp id in 56..62), so
-      // mixed fuse modes never cross-contaminate the count cache.
-      const std::uint64_t key =
-          (1ull << 63) | (static_cast<std::uint64_t>(it->second.id) << 56) |
-          (bind.n & 0x00ff'ffff'ffff'ffffULL);
-      ctx.add_counts(ctx.memo_counts(
-          key, [&] { return group_counts(g, bind.n, ctx.lanes()); }));
-      it->second.fn(bind);
-    } else {
-      run_interpret(ctx, g, bind);
-    }
-  }
+namespace {
+
+const StampEntry& find_stamp(std::uint64_t sig) {
+  ensure_registered();
+  const auto& reg = registry();
+  const auto it = reg.find(sig);
+  V2D_REQUIRE(it != reg.end(),
+              "no native stamp registered for fused-op signature");
+  return it->second;
 }
+
+/// One group over one binding on the native path: the stamp, plus its
+/// composed counts memoized in the context's count cache.
+void run_stamp(vla::Context& ctx, const GroupProgram& g,
+               const StampEntry& stamp, const Bind& bind) {
+  // Fused-group memo keys live in a signature-keyed space disjoint from
+  // the primitive KernelShape keys (bit 63 set, stamp id in 56..62), so
+  // mixed fuse modes never cross-contaminate the count cache.
+  const std::uint64_t key = (1ull << 63) |
+                            (static_cast<std::uint64_t>(stamp.id) << 56) |
+                            (bind.n & 0x00ff'ffff'ffff'ffffULL);
+  ctx.add_counts(ctx.memo_counts(
+      key, [&] { return group_counts(g, bind.n, ctx.lanes()); }));
+  stamp.fn(bind);
+}
+
+/// A built-in chain's plan with each group's stamp resolved once, on the
+/// first native call: the composites below run once per tile row, and a
+/// row then pays neither the registration check nor the signature lookup.
+template <Chain C>
+struct PlannedChain {
+  static constexpr FusionPlan kPlan = plan_chain(C);
+
+  static void run(vla::Context& ctx, const Bind& bind) {
+    if (!ctx.native()) {
+      for (std::uint8_t gi = 0; gi < kPlan.ngroups; ++gi)
+        run_interpret(ctx, kPlan.group[gi], bind);
+      return;
+    }
+    static const std::array<StampEntry, kMaxGroups> stamps = [] {
+      std::array<StampEntry, kMaxGroups> out{};
+      for (std::uint8_t gi = 0; gi < kPlan.ngroups; ++gi)
+        out[gi] = find_stamp(kPlan.group[gi].sig);
+      return out;
+    }();
+    for (std::uint8_t gi = 0; gi < kPlan.ngroups; ++gi)
+      run_stamp(ctx, kPlan.group[gi], stamps[gi], bind);
+  }
+};
+
+}  // namespace
 
 std::string describe_builtin_plans() {
   ensure_registered();
@@ -280,8 +309,6 @@ void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
   const std::size_t n = x.size();
   V2D_REQUIRE(p.size() == n && q.size() == n && r.size() == n,
               "daxpy2: length mismatch");
-  static constexpr Chain kChain = make_daxpy2_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(p.data());
@@ -290,30 +317,26 @@ void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
   bd.slot[3] = r.data();
   bd.scal[0] = a;
   bd.scal[1] = b;
-  run(ctx, kPlan, bd);
+  PlannedChain<make_daxpy2_chain()>::run(ctx, bd);
 }
 
 void axpy_out(vla::Context& ctx, std::span<const double> x, double a,
               std::span<const double> y, std::span<double> z) {
   const std::size_t n = z.size();
   V2D_REQUIRE(x.size() == n && y.size() == n, "axpy_out: length mismatch");
-  static constexpr Chain kChain = make_axpy_out_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(x.data());
   bd.slot[1] = const_cast<double*>(y.data());
   bd.slot[2] = z.data();
   bd.scal[0] = a;
-  run(ctx, kPlan, bd);
+  PlannedChain<make_axpy_out_chain()>::run(ctx, bd);
 }
 
 void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
               std::span<const double> v, std::span<double> p) {
   const std::size_t n = p.size();
   V2D_REQUIRE(r.size() == n && v.size() == n, "p_update: length mismatch");
-  static constexpr Chain kChain = make_p_update_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(r.data());
@@ -321,7 +344,7 @@ void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
   bd.slot[2] = p.data();
   bd.scal[0] = -w;
   bd.scal[1] = b;
-  run(ctx, kPlan, bd);
+  PlannedChain<make_p_update_chain()>::run(ctx, bd);
 }
 
 void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
@@ -329,8 +352,6 @@ void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
                    DdLanes& rz, DdLanes& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
-  static constexpr Chain kChain = make_hadamard_dot2_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(m.data());
@@ -338,7 +359,7 @@ void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
   bd.slot[2] = z.data();
   bd.acc[0] = &rz;
   bd.acc[1] = &rr;
-  run(ctx, kPlan, bd);
+  PlannedChain<make_hadamard_dot2_chain()>::run(ctx, bd);
 }
 
 void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
@@ -348,8 +369,6 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
               "hadamard_update_dot2: length mismatch");
-  static constexpr Chain kChain = make_hadamard_update_dot2_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(m.data());
@@ -359,16 +378,14 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
   bd.scal[0] = a;
   bd.acc[0] = &rz;
   bd.acc[1] = &rr;
-  run(ctx, kPlan, bd);
+  PlannedChain<make_hadamard_update_dot2_chain()>::run(ctx, bd);
 }
 
 namespace {
 
 template <bool Coupled, bool Bsub, bool Self>
 void run_stencil_variant(vla::Context& ctx, const Bind& bd) {
-  static constexpr Chain kChain = make_stencil_chain(Coupled, Bsub, Self);
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
-  run(ctx, kPlan, bd);
+  PlannedChain<make_stencil_chain(Coupled, Bsub, Self)>::run(ctx, bd);
 }
 
 }  // namespace

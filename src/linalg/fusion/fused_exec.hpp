@@ -41,10 +41,6 @@ struct Bind {
   std::size_t n = 0;
 };
 
-/// Execute every group of `plan` over the binding, dispatching on the
-/// context's exec mode.  Native groups must have a registered stamp.
-void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind);
-
 /// The generic interpreter sweep for one group (also the reference backend
 /// the stamps are differentially tested against).
 void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& bind);

@@ -5,7 +5,6 @@
 
 #include "linalg/mg/transfer.hpp"
 #include "support/error.hpp"
-#include "support/task_graph.hpp"
 
 namespace v2d::linalg::mg {
 
@@ -16,10 +15,6 @@ MgPrecond::MgPrecond(ExecContext& ctx, const StencilOperator& A, MgOptions opt)
       smoother_(make_smoother(hierarchy_.options())) {}
 
 void MgPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
-  // Standalone applications (tests, smoothing studies) get their own
-  // task-graph session; inside a Krylov solver's region this joins the
-  // outer session instead of opening a nested one.
-  task_graph::GraphRegion graph(ctx.sched == HostSched::Graph);
   vcycle(ctx, 0, y, x);
 }
 

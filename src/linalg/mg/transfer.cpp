@@ -1,12 +1,10 @@
 #include "linalg/mg/transfer.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "linalg/mg/mg_kernels.hpp"
 #include "support/error.hpp"
-#include "support/task_graph.hpp"
 
 namespace v2d::linalg::mg {
 
@@ -68,90 +66,15 @@ void check_parent_aligned(const grid::Decomposition& cdec,
   }
 }
 
-/// Graph-mode transfer: per rank, a four-task subgraph overlapping the
-/// full (corner-filling) ghost exchange of `src` with the row sweep over
-/// the target decomposition `tdec` —
-///
-///   A_r: x1 ghost-column copy + x1 BC on src
-///   C_r: padded x2 ghost-row copy + x2 BC       (after A_r, A_S, A_N:
-///        the padded strips read the S/N neighbours' ghost columns — the
-///        cross-rank edges the two-phase barrier provided serially)
-///   B_r: interior target rows 1..nj-2           (after A_r: interior
-///        rows read ghost columns, never ghost rows)
-///   D_r: target rows 0, nj-1 + the commit       (after B_r, C_r)
-///
-/// Corner values are order-robust here because the BC is Dirichlet0
-/// (data-independent zeros): any corner the serial phase2/BC order and
-/// the per-rank A→C order disagree on transiently is rewritten by the
-/// same final writer in both schedules.  B_r/D_r share one fork()ed
-/// context so the rank's recording commits exactly as the single sweep.
-template <typename Rows, typename Finish>
-void build_transfer_graph(ExecContext& ctx, task_graph::Session& ses,
-                          grid::DistField& src,
-                          const grid::Decomposition& tdec, Rows rows,
-                          Finish finish) {
-  grid::DistField* sp = &src;
-  const auto& topo = src.decomp().topology();
-  const int nr = tdec.nranks();
-  std::vector<task_graph::Session::Task*> a(static_cast<std::size_t>(nr));
-  for (int r = 0; r < nr; ++r) {
-    a[static_cast<std::size_t>(r)] = ses.create([sp, r] {
-      sp->copy_halo(r, /*x1_dirs=*/true);
-      sp->apply_bc_dir(grid::BcKind::Dirichlet0, r, /*x1_dirs=*/true);
-    });
-  }
-  for (int r = 0; r < nr; ++r) {
-    const int nj = tdec.extent(r).nj;
-    auto rctx = std::make_shared<ExecContext>(ctx.fork());
-    auto* c = ses.create([sp, r] {
-      sp->copy_halo_full_x2(r);
-      sp->apply_bc_dir(grid::BcKind::Dirichlet0, r, /*x1_dirs=*/false);
-    });
-    ses.add_dep(c, a[static_cast<std::size_t>(r)]);
-    for (const auto dir : {mpisim::Dir::South, mpisim::Dir::North}) {
-      const auto nb = topo.neighbor(r, dir);
-      if (nb) ses.add_dep(c, a[static_cast<std::size_t>(*nb)]);
-    }
-    task_graph::Session::Task* b = nullptr;
-    if (nj > 2) {
-      b = ses.create([rows, rctx, r, nj] { rows(*rctx, r, 1, nj - 1); });
-      ses.add_dep(b, a[static_cast<std::size_t>(r)]);
-    }
-    auto* d = ses.create([rows, finish, rctx, r, nj] {
-      rows(*rctx, r, 0, 1);
-      if (nj > 1) rows(*rctx, r, nj - 1, nj);
-      finish(*rctx, r);
-    });
-    ses.add_dep(d, c);
-    ses.add_dep(d, b != nullptr ? b : a[static_cast<std::size_t>(r)]);
-    ses.submit(c);
-    if (b != nullptr) ses.submit(b);
-    ses.submit(d);
-  }
-  // A tasks last: every cross-rank C_q → A_r edge is wired before any A
-  // can run (and thus before any C can read a neighbour's ghost column).
-  for (int r = 0; r < nr; ++r) ses.submit(a[static_cast<std::size_t>(r)]);
-  ses.sync();
-}
-
 }  // namespace
 
 void restrict_full_weighting(ExecContext& ctx, DistVector& fine,
                              DistVector& coarse) {
   check_pair(fine, coarse);
   grid::DistField& ff = fine.field();
-  task_graph::Session* ses = task_graph::current();
-  const bool overlap = ses != nullptr && !task_graph::in_task();
-  if (overlap) {
-    // Graph mode: price the full exchange up front (analytically identical
-    // Transfer list; the collective drains chained predecessors) and run
-    // the copies + BCs as overlap tasks below.
-    ctx.exchange(ff.ghost_transfer_plan_full(), "mpi_halo");
-  } else {
-    const auto transfers = ff.exchange_ghosts_full();
-    ff.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching P
-    ctx.exchange(transfers, "mpi_halo");
-  }
+  const auto transfers = ff.exchange_ghosts_full();
+  ff.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching P
+  ctx.exchange(transfers, "mpi_halo");
 
   const auto& cdec = coarse.field().decomp();
   const auto& fdec = ff.decomp();
@@ -163,47 +86,23 @@ void restrict_full_weighting(ExecContext& ctx, DistVector& fine,
   }
   const IndexTables tab = build_tables(max_cni, max_fni);
 
-  // Both schedules run below via these two callbacks; rows over [lo, hi)
-  // of rank r's coarse tile.  Row results are independent of the grouping
-  // and the recording is a commutative sum, so any split commits the same
-  // values and counts as the single sweep.  (Stack captures are safe: the
-  // graph path syncs before returning.)
-  grid::DistField* ffp = &ff;
-  grid::DistField* cfp = &coarse.field();
-  const grid::Decomposition* cdecp = &cdec;
-  const IndexTables* tabp = &tab;
   const int ns = fine.ns();
-  DistVector* finep = &fine;
-  DistVector* coarsep = &coarse;
-  auto rows = [ffp, cfp, cdecp, tabp, ns](ExecContext& rctx, int r, int lo,
-                                          int hi) {
-    const grid::TileExtent& ce = cdecp->extent(r);
+  par_ranks(ctx, cdec, [&](int r, ExecContext& rctx) {
+    const grid::TileExtent& ce = cdec.extent(r);
     const auto n = static_cast<std::size_t>(ce.ni);
     for (int s = 0; s < ns; ++s) {
-      grid::TileView fv = ffp->view(r, s);
-      grid::TileView cv = cfp->view(r, s);
-      for (int lcj = lo; lcj < hi; ++lcj) {
+      grid::TileView fv = ff.view(r, s);
+      grid::TileView cv = coarse.field().view(r, s);
+      for (int lcj = 0; lcj < ce.nj; ++lcj) {
         const double* frows[4] = {fv.row(2 * lcj - 1), fv.row(2 * lcj),
                                   fv.row(2 * lcj + 1), fv.row(2 * lcj + 2)};
-        restrict_row(rctx.vctx, frows, tabp->spans(),
+        restrict_row(rctx.vctx, frows, tab.spans(),
                      std::span<double>(cv.row(lcj), n));
       }
     }
-  };
-  auto finish = [cdecp, ns, finep, coarsep](ExecContext& rctx, int r) {
-    const grid::TileExtent& ce = cdecp->extent(r);
     const auto elements = static_cast<std::uint64_t>(ce.ni) * ce.nj * ns;
     rctx.commit(r, KernelFamily::Precond, "mg-restrict", elements,
-                finep->working_set(r, 1) + coarsep->working_set(r, 1));
-  };
-
-  if (overlap) {
-    build_transfer_graph(ctx, *ses, ff, cdec, rows, finish);
-    return;
-  }
-  par_ranks(ctx, cdec, [&](int r, ExecContext& rctx) {
-    rows(rctx, r, 0, cdec.extent(r).nj);
-    finish(rctx, r);
+                fine.working_set(r, 1) + coarse.working_set(r, 1));
   });
 }
 
@@ -212,15 +111,9 @@ void prolong_bilinear_add(ExecContext& ctx, DistVector& coarse,
   check_pair(fine, coarse);
   grid::DistField& cf = coarse.field();
   // Bilinear interpolation reaches diagonally: corner ghosts required.
-  task_graph::Session* ses = task_graph::current();
-  const bool overlap = ses != nullptr && !task_graph::in_task();
-  if (overlap) {
-    ctx.exchange(cf.ghost_transfer_plan_full(), "mpi_halo");
-  } else {
-    const auto transfers = cf.exchange_ghosts_full();
-    cf.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching R
-    ctx.exchange(transfers, "mpi_halo");
-  }
+  const auto transfers = cf.exchange_ghosts_full();
+  cf.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching R
+  ctx.exchange(transfers, "mpi_halo");
 
   const auto& cdec = cf.decomp();
   const auto& fdec = fine.field().decomp();
@@ -232,45 +125,23 @@ void prolong_bilinear_add(ExecContext& ctx, DistVector& coarse,
   }
   const IndexTables tab = build_tables(max_cni, max_fni);
 
-  // Rows over [lo, hi) of rank r's *fine* tile; each fine row is written
-  // by exactly one call, so the interior/boundary split of the graph path
-  // is race-free and value-identical to the single sweep.
-  grid::DistField* cfp = &cf;
-  grid::DistField* ffp = &fine.field();
-  const grid::Decomposition* fdecp = &fdec;
-  const IndexTables* tabp = &tab;
   const int ns = fine.ns();
-  DistVector* finep = &fine;
-  DistVector* coarsep = &coarse;
-  auto rows = [cfp, ffp, fdecp, tabp, ns](ExecContext& rctx, int r, int lo,
-                                          int hi) {
-    const grid::TileExtent& fe = fdecp->extent(r);
+  par_ranks(ctx, fdec, [&](int r, ExecContext& rctx) {
+    const grid::TileExtent& fe = fdec.extent(r);
     const auto n = static_cast<std::size_t>(fe.ni);
     for (int s = 0; s < ns; ++s) {
-      grid::TileView cv = cfp->view(r, s);
-      grid::TileView fv = ffp->view(r, s);
-      for (int lfj = lo; lfj < hi; ++lfj) {
+      grid::TileView cv = cf.view(r, s);
+      grid::TileView fv = fine.field().view(r, s);
+      for (int lfj = 0; lfj < fe.nj; ++lfj) {
         const int cj_near = lfj / 2;
         const int cj_far = cj_near + ((lfj & 1) ? 1 : -1);
         prolong_row_add(rctx.vctx, cv.row(cj_near), cv.row(cj_far),
-                        tabp->spans(), std::span<double>(fv.row(lfj), n));
+                        tab.spans(), std::span<double>(fv.row(lfj), n));
       }
     }
-  };
-  auto finish = [fdecp, ns, finep, coarsep](ExecContext& rctx, int r) {
-    const grid::TileExtent& fe = fdecp->extent(r);
     const auto elements = static_cast<std::uint64_t>(fe.ni) * fe.nj * ns;
     rctx.commit(r, KernelFamily::Precond, "mg-prolong", elements,
-                finep->working_set(r, 2) + coarsep->working_set(r, 1));
-  };
-
-  if (overlap) {
-    build_transfer_graph(ctx, *ses, cf, fdec, rows, finish);
-    return;
-  }
-  par_ranks(ctx, fdec, [&](int r, ExecContext& rctx) {
-    rows(rctx, r, 0, fdec.extent(r).nj);
-    finish(rctx, r);
+                fine.working_set(r, 2) + coarse.working_set(r, 1));
   });
 }
 

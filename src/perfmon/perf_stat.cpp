@@ -43,14 +43,4 @@ std::string format_memo_cache(const MemoCacheStats& s) {
   return os.str();
 }
 
-std::string format_host_sched(const HostSchedStats& s) {
-  std::ostringstream os;
-  os << "host sched: " << grouped(s.sessions) << " sessions, "
-     << grouped(s.tasks) << " tasks (" << std::fixed << std::setprecision(1)
-     << 100.0 * s.overlap << "% chained, " << 100.0 * s.affinity
-     << "% home-lane), " << grouped(s.steals) << " steals, "
-     << grouped(s.combines) << " combines, " << grouped(s.syncs) << " joins";
-  return os.str();
-}
-
 }  // namespace v2d::perfmon

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/task_graph.hpp"
 
 namespace v2d::rad {
 
@@ -204,10 +203,6 @@ void FldBuilder::build_diffusion(ExecContext& ctx, DistVector& e_limiter,
                                  const DistVector& e_old, double dt,
                                  StencilOperator& A, DistVector& rhs) const {
   auto* self = const_cast<FldBuilder*>(this);
-  // Keep the pool's workers resident across the assembly stages under
-  // --host-sched graph (every stage here is a synchronous scheduler stage;
-  // the ghost-exchange pricing in fill_diffusion stays a join node).
-  task_graph::GraphRegion graph(ctx.sched == linalg::HostSched::Graph);
   fill_diffusion(*grid_, *dec_, ns_, opacities_, config_, ctx, e_limiter, dt,
                  A, self->rho_, self->temp_);
   // rhs = (V/Δt)·Eⁿ from the time-level-n field.
@@ -235,7 +230,6 @@ void FldBuilder::build_coupling(ExecContext& ctx, DistVector& e_limiter,
   V2D_REQUIRE(ns_ == 2, "coupling solve is defined for ns == 2");
   V2D_REQUIRE(A.coupled(), "operator must have coupling enabled");
   auto* self = const_cast<FldBuilder*>(this);
-  task_graph::GraphRegion graph(ctx.sched == linalg::HostSched::Graph);
   fill_diffusion(*grid_, *dec_, ns_, opacities_, config_, ctx, e_limiter, dt,
                  A, self->rho_, self->temp_);
 

@@ -16,10 +16,9 @@
 ///      lane order.
 ///
 /// What is guaranteed: the rule fixes every floating-point operation, so
-/// the result is bit-identical across host-thread counts, schedulers
-/// (barrier or task graph), fuse modes, VLA exec modes, the modelled
-/// vector length and the build ISA (the build disables FMA contraction,
-/// see CMakeLists.txt).  What is *not* guaranteed: independence from the
+/// the result is bit-identical across host-thread counts, fuse modes, VLA
+/// exec modes, the modelled vector length and the build ISA (the build
+/// disables FMA contraction, see CMakeLists.txt).  What is *not* guaranteed: independence from the
 /// tiling.  A different NPRX1×NPRX2 changes the row lengths and the rank
 /// partition, hence the grouping of the addends.  A double-double sum is
 /// exact to ~2⁻¹⁰⁶ of the sum of its terms' magnitudes, so two groupings

@@ -1,250 +1,28 @@
 #pragma once
 /// \file task_graph.hpp
-/// \brief Dependency-scheduled task execution on the host pool's workers.
+/// \brief Zero-valued host scheduler counters, kept for the benchmark.
 ///
-/// The barrier-per-kernel model (`par_ranks` → ThreadPool::run) forks and
-/// joins the pool once per kernel: every daxpy wakes the workers, runs a
-/// few microseconds of work per rank, and puts them back to sleep.  For
-/// the small per-rank kernels a simulated-cluster run is made of, the
-/// wake/join overhead dominates — the committed baseline measured a
-/// *slowdown* at 2–4 host threads.
-///
-/// A Session replaces that model for the duration of a solver region: the
-/// pool's workers become resident scheduler lanes (one work-stealing deque
-/// each) draining a graph of tasks with explicit dependency edges and
-/// atomic pending counters.  Per-rank kernel tasks of consecutive
-/// operations chain rank-to-rank without any global barrier; serial field
-/// accessors and halo-exchange pricing drain the graph first — they are
-/// join nodes by construction, exactly like the simulated machine's
-/// barriers.  Halo-exchange sites additionally split into boundary (ghost
-/// copy + BC) and interior (stencil/sweep) tasks so packing overlaps
-/// interior compute.
-///
-/// Wave 2 adds locality and pipelining on top of that graph: chained
-/// per-rank tasks are *homed* to a stable lane (hash of chain domain ×
-/// rank) so a rank's kernel chain keeps its tile cache-hot, stealing
-/// degrades to an idle-lane fallback that takes the oldest task from the
-/// deepest queue, and the allreduce-backed dot reductions stop being
-/// join-alls — per-rank partial-accumulator tasks feed one rank-ordered
-/// compensated combine task (chain_combine/wait) that only the scalar's
-/// consumer waits on, while next-stage per-rank tasks submit behind the
-/// partials.
-///
-/// Bit-identity: scheduling carries no numerical meaning here for the same
-/// reason the barrier pool is safe — rank tasks own disjoint tiles and
-/// disjoint clock/ledger slots, reductions keep the rank-ordered
-/// compensated merges on the driving thread, and transfer lists stay
-/// rank-ordered.  The graph only changes *when* a rank's task runs, never
-/// what it computes or the order of the priced collective stream.
-///
-/// Opt-in via --host-sched graph (linalg::ExecContext::sched); default
-/// barrier keeps today's fork/join behaviour bit-for-bit.
+/// Rank-parallel work runs on one executor, the barrier ThreadPool
+/// (support/thread_pool.hpp), which counts no scheduler tasks or steals.
+/// The only reader left is perfbench/src/probes.cpp: it snapshots stats()
+/// around its timed steps and reports the zero deltas as bypassed (and it
+/// copies linalg::ExecContext::sched).  A change to the benchmark can drop
+/// this header together with that field.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include "support/thread_pool.hpp"
 
 namespace v2d::task_graph {
 
-/// Process-wide scheduler counters, surfaced through perfmon.
 struct SchedStats {
-  std::uint64_t sessions = 0;       ///< GraphRegions that opened a session
-  std::uint64_t stages = 0;         ///< synchronous (barrier) stages
-  std::uint64_t chained_stages = 0; ///< dependency-chained stages
-  std::uint64_t tasks = 0;          ///< graph tasks executed
-  std::uint64_t chained_tasks = 0;  ///< tasks that ran without a barrier
-  std::uint64_t steals = 0;         ///< tasks popped from another lane
-  std::uint64_t syncs = 0;          ///< graph drains (join nodes)
-  std::uint64_t affinity_hits = 0;  ///< homed tasks that ran on their lane
-  std::uint64_t combines = 0;       ///< pipelined-reduction combine tasks
-
-  /// Fraction of graph tasks that ran dependency-scheduled instead of
-  /// inside a fork/join barrier — the overlap the scheduler buys.
-  double overlap_ratio() const {
-    return tasks ? static_cast<double>(chained_tasks) /
-                       static_cast<double>(tasks)
-                 : 0.0;
-  }
-
-  /// Fraction of homed (chained) tasks that executed on their home lane —
-  /// the cache-locality the affinity policy buys.  Steals + hits need not
-  /// cover all chained tasks: homes only exist while affinity is enabled.
-  double affinity_ratio() const {
-    return chained_tasks ? static_cast<double>(affinity_hits) /
-                               static_cast<double>(chained_tasks)
-                         : 0.0;
-  }
+  std::uint64_t tasks = 0;
+  std::uint64_t steals = 0;
 
   SchedStats since(const SchedStats& earlier) const {
-    return {sessions - earlier.sessions,
-            stages - earlier.stages,
-            chained_stages - earlier.chained_stages,
-            tasks - earlier.tasks,
-            chained_tasks - earlier.chained_tasks,
-            steals - earlier.steals,
-            syncs - earlier.syncs,
-            affinity_hits - earlier.affinity_hits,
-            combines - earlier.combines};
+    return {tasks - earlier.tasks, steals - earlier.steals};
   }
 };
 
-/// Snapshot the process-wide counters.
-SchedStats stats();
-
-/// Process-wide toggle for the task-affinity placement policy (default
-/// on).  When off, chained tasks enqueue on the submitting lane exactly
-/// like the original wave-1 scheduler — benches use this to run a
-/// `graph` vs `graph+affinity` comparison; sessions read the toggle at
-/// each stage, so flip it only between runs.
-void set_affinity(bool on);
-bool affinity_enabled();
-
-class Session {
-public:
-  /// One graph node: a closure plus an atomic dependency counter.  The
-  /// extra "submitter" reference in `pending` keeps a task from running
-  /// while the driving thread is still wiring its edges.
-  struct Task {
-    std::function<void()> fn;
-    std::atomic<int> pending{1};
-    std::atomic<bool> done{false};
-    std::atomic<bool> waited{false};  ///< a wait() is (or was) parked on us
-    std::atomic_flag edge_lock;  ///< guards succs/done (clear-initialized)
-    std::vector<Task*> succs;
-    bool chained = false;  ///< stats: ran outside a barrier stage
-    int home = -1;         ///< preferred lane (-1: submitter's lane)
-  };
-
-  /// Captures the pool's workers as resident lanes.  Construct only from
-  /// a driving thread (never inside a pool task); prefer GraphRegion.
-  explicit Session(std::shared_ptr<ThreadPool> pool);
-  ~Session();
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  // --- graph construction (driving thread only) ---------------------------
-
-  /// Create a task; it cannot run until submit().  The pointer stays valid
-  /// until the next sync() drains the graph.
-  Task* create(std::function<void()> fn);
-
-  /// succ additionally waits for pred.  Race-safe against pred completing
-  /// concurrently; a completed pred adds no edge (its effects are already
-  /// visible to the driving thread).
-  void add_dep(Task* succ, Task* pred);
-
-  /// Release the submitter reference: the task becomes runnable once its
-  /// remaining dependencies finish.
-  void submit(Task* t);
-
-  /// Chained per-rank stage: task r waits only for task r of the previous
-  /// stage on the same chain domain (no global barrier).  A different
-  /// domain or rank count drains the graph first.  Under the affinity
-  /// policy task r is homed to home_lane(domain, r) so a rank's whole
-  /// chain runs on one lane and its tile stays cache-hot.
-  void chain_stage(const void* domain, int n, std::function<void(int)> fn);
-
-  /// Combine node of a pipelined reduction: a single task depending on
-  /// every rank's current chain tail for `domain`, submitted WITHOUT
-  /// draining the graph and WITHOUT consuming the chain — later
-  /// chain_stage() calls on the same domain keep chaining rank-to-rank
-  /// behind the partial tasks, not behind the combine, so independent
-  /// next-stage work submits speculatively while only the scalar's true
-  /// consumer wait()s.  Falls back to sync() + an inline call (returning
-  /// null) when the domain has no live chain.
-  Task* chain_combine(const void* domain, std::function<void()> fn);
-
-  /// Help-execute until `t` (from chain_combine) completes, leaving the
-  /// chain state and arena intact.  Unlike sync() this waits only for
-  /// t's transitive predecessors, and defers any task error to the next
-  /// sync().  Driving thread only; null is a no-op.
-  void wait(Task* t);
-
-  /// The stable home lane the affinity policy assigns to rank `r` of
-  /// chain domain `domain` (exposed for tests and diagnostics).
-  int home_lane(const void* domain, int r) const;
-
-  /// Drain the graph: execute/steal until nothing is outstanding, then
-  /// rethrow the first task exception.  Join node for collectives.
-  void sync();
-
-  /// Synchronous stage: sync(), then run fn(0..n-1) across all lanes and
-  /// sync again.  The drop-in replacement for ThreadPool::run inside a
-  /// session (parallel_for routes here via the detail hook).
-  void run_sync(int n, const std::function<void(int)>& fn);
-
-private:
-  struct Lane {
-    std::mutex mu;
-    std::deque<Task*> dq;  ///< owner pushes/pops back; thieves pop front
-  };
-
-  void worker_loop(int lane);
-  void execute_task(Task* t);
-  void enqueue(Task* t);
-  Task* try_pop(int lane);
-  void finish_one();
-  void close();
-
-  friend class GraphRegion;
-
-  std::shared_ptr<ThreadPool> pool_;
-  std::shared_ptr<ThreadPool::Job> drain_;  ///< the workers' lane loops
-  int nlanes_ = 1;                          ///< workers + the driving thread
-  std::vector<std::unique_ptr<Lane>> lanes_;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<bool> closed_{false};
-  std::atomic<int> queued_{0};       ///< tasks sitting in some deque
-  std::atomic<int> outstanding_{0};  ///< submitted, not yet finished
-  std::atomic<int> sleepers_{0};     ///< threads blocked on cv_
-  std::exception_ptr error_;         ///< first task failure; guarded by mu_
-
-  /// Graph arena: driving-thread push_back only; cleared at sync() when
-  /// nothing is outstanding, so Task* handles are stable in between.
-  std::deque<Task> arena_;
-
-  /// Chain state: last task submitted per rank for the current domain.
-  const void* chain_domain_ = nullptr;
-  std::vector<Task*> chain_last_;
-};
-
-/// The driving thread's open session (null outside --host-sched graph
-/// regions, and always null on worker threads).
-Session* current();
-
-/// True while the current thread executes a session task body.
-bool in_task();
-
-/// Drain the current session's graph, if any.  Called by collective
-/// pricing (ExecContext::allreduce/exchange) and serial field accessors so
-/// join points see every chained predecessor; a no-op on worker threads
-/// and outside sessions.
-void sync_current();
-
-/// RAII scope that opens a Session on the host pool when `enable` is set,
-/// making it `current()` for the scope.  No-op when disabled, inside a
-/// pool task (a farmed job keeps its inline semantics), or when a session
-/// is already open (regions nest by joining the outer session).
-class GraphRegion {
-public:
-  explicit GraphRegion(bool enable);
-  ~GraphRegion() noexcept(false);
-  GraphRegion(const GraphRegion&) = delete;
-  GraphRegion& operator=(const GraphRegion&) = delete;
-
-private:
-  std::unique_ptr<Session> session_;
-  int uncaught_ = 0;
-};
+/// Always zero: the barrier pool schedules no graph tasks.
+inline SchedStats stats() { return {}; }
 
 }  // namespace v2d::task_graph

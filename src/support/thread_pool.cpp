@@ -1,6 +1,9 @@
 #include "support/thread_pool.hpp"
 
 #include <chrono>
+#include <string>
+
+#include "support/error.hpp"
 
 namespace v2d {
 
@@ -43,6 +46,9 @@ bool spin_until(bool enabled, Ready ready) {
 ThreadPool::ThreadPool(int threads)
     : size_(threads < 1 ? 1 : threads),
       spin_(size_ <= default_host_threads()) {
+  V2D_REQUIRE(threads <= kMaxHostThreads,
+              "host pool of " + std::to_string(threads) +
+                  " lanes exceeds kMaxHostThreads");
   workers_.reserve(static_cast<std::size_t>(size_ - 1));
   for (int t = 0; t + 1 < size_; ++t)
     workers_.emplace_back([this] { worker_loop(); });
@@ -103,43 +109,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::shared_ptr<ThreadPool::Job> ThreadPool::post(
-    int n, const std::function<void(int)>& fn) {
-  if (n <= 0 || workers_.empty()) return nullptr;
-  auto job = std::make_shared<Job>();
-  job->fn = fn;
-  job->n = n;
-  job->remaining.store(n, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_ = job;
-    posted_.fetch_add(1, std::memory_order_release);
-  }
-  wake_cv_.notify_all();
-  // Wait (workers are idle, so briefly) until every index has been
-  // claimed: once job_ can be replaced by a later run()/post(), an
-  // unclaimed index would never execute and wait() would hang.
-  while (job->next.load(std::memory_order_acquire) < n)
-    std::this_thread::yield();
-  std::lock_guard<std::mutex> lk(mu_);
-  if (job_ == job) job_.reset();
-  return job;
-}
-
-void ThreadPool::wait(const std::shared_ptr<Job>& job) {
-  if (!job) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] {
-    return job->remaining.load(std::memory_order_acquire) == 0;
-  });
-  if (job->error) {
-    std::exception_ptr e = job->error;
-    job->error = nullptr;
-    lk.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
 void ThreadPool::run(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   if (workers_.empty() || n == 1 || t_in_pool_task) {
@@ -197,15 +166,5 @@ void set_host_threads(int threads) {
 }
 
 int host_threads() { return host_pool()->size(); }
-
-bool in_pool_task() { return t_in_pool_task; }
-
-namespace detail {
-
-thread_local void* t_graph_session = nullptr;
-thread_local bool t_in_graph_task = false;
-void (*g_session_run)(void*, int, const std::function<void(int)>&) = nullptr;
-
-}  // namespace detail
 
 }  // namespace v2d

@@ -269,6 +269,23 @@ TEST(FarmJobFile, ParsesNamesAndOptions) {
   EXPECT_THROW(farm::parse_job_line("name-only:", "x"), Error);
 }
 
+/// The barrier pool is the only host executor, so --host-sched is no
+/// longer an option: a job line that still sets it is refused by name
+/// instead of silently running under a scheduler it did not ask for.
+TEST(FarmJobFile, RetiredHostSchedOptionRejectedByName) {
+  for (const char* line : {"--problem gaussian-pulse --host-sched graph",
+                           "old: --host-sched=graph --steps 2"}) {
+    try {
+      (void)farm::parse_job_line(line, "x");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--host-sched"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FarmJobFile, ParsesFilesWithCommentsAndRejectsDuplicates) {
   const std::string path = temp_path("farm_jobs.txt");
   {

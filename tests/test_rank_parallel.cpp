@@ -5,10 +5,8 @@
 /// Ranks own disjoint tiles and disjoint clock/ledger slots, so executing
 /// them concurrently must change *nothing* observable: fields, per-rank
 /// ledgers and simulated clocks are compared exactly (==, not near)
-/// between --host-threads 1 and 4+ runs, in both VLA exec modes.  The
-/// same contract covers --host-sched: the dependency-scheduled graph
-/// executor (HostSchedTest) must match the barrier pool and the serial
-/// path bit-for-bit across vla-exec backends, fuse modes, a hydro
+/// between --host-threads 1 and 4+ runs, in both VLA exec modes, and
+/// across fuse modes, unganged dots, the multigrid preconditioner, a hydro
 /// scenario and a mixed farm.
 
 #include <gtest/gtest.h>
@@ -214,114 +212,78 @@ TEST(RankParallelTest, InterpretModeBitIdenticalAcrossHostThreads) {
   testutil::expect_captures_identical(serial, par, "interpret@4");
 }
 
-// --- host scheduler (--host-sched graph) --------------------------------------
-
-/// The graph scheduler's acceptance criterion: dependency-scheduled
-/// execution with halo/compute overlap matches both the barrier pool and
-/// the serial path bit-for-bit, in both VLA exec backends.
-TEST(HostSchedTest, GraphBitIdenticalToBarrierAndSerial) {
-  for (const char* mode : {"native", "interpret"}) {
-    const std::string vla_exec(mode);
-    const int steps = vla_exec == "native" ? 2 : 1;
-    const SimCapture ref = run_config(pulse_config(1, vla_exec, steps));
-
-    core::RunConfig graph1 = pulse_config(1, vla_exec, steps);
-    graph1.host_sched = "graph";
-    testutil::expect_captures_identical(ref, run_config(graph1),
-                                        vla_exec + "+graph@1");
-
-    core::RunConfig graph4 = pulse_config(4, vla_exec, steps);
-    graph4.host_sched = "graph";
-    testutil::expect_captures_identical(ref, run_config(graph4),
-                                        vla_exec + "+graph@4");
-  }
-}
-
-/// Fused kernels reshape the per-iteration task graph (fewer, bigger
-/// nodes; planner groups under --fuse plan): every fuse mode must stay
-/// bit-identical between schedulers.
-TEST(HostSchedTest, FuseModesBitIdenticalUnderGraph) {
+/// Fused kernels reshape the per-iteration kernel sequence (fewer, bigger
+/// calls; planner groups under --fuse on): every fuse mode must stay
+/// bit-identical across host-thread counts.
+TEST(RankParallelTest, FuseModesBitIdenticalAcrossHostThreads) {
   for (const char* fuse : {"off", "on", "plan"}) {
-    core::RunConfig barrier = pulse_config(1, "native", 2);
-    barrier.nx1 = 48;
-    barrier.nx2 = 24;
-    barrier.nprx1 = 2;
-    barrier.nprx2 = 2;
-    barrier.fuse = fuse;
-    core::RunConfig graph = barrier;
-    graph.host_threads = 4;
-    graph.host_sched = "graph";
+    core::RunConfig serial = pulse_config(1, "native", 2);
+    serial.nx1 = 48;
+    serial.nx2 = 24;
+    serial.nprx1 = 2;
+    serial.nprx2 = 2;
+    serial.fuse = fuse;
+    core::RunConfig par4 = serial;
+    par4.host_threads = 4;
     testutil::expect_captures_identical(
-        run_config(barrier), run_config(graph),
-        std::string("fuse=") + fuse + "+graph@4");
+        run_config(serial), run_config(par4),
+        std::string("fuse=") + fuse + "@4");
   }
 }
 
-/// Wave 2 pipelines reductions past the dot joins: per-rank partial
-/// tasks feed one rank-ordered compensated combine, and only the
-/// scalar's consumer waits on it.  Classic (unganged) BiCGSTAB dots take
-/// the same path as the ganged reductions and must stay bit-identical —
-/// fields, per-profile clocks and full ledgers — in both VLA backends.
-TEST(HostSchedTest, ClassicDotsBitIdenticalUnderGraph) {
+/// Classic (unganged) BiCGSTAB dots take the same rank-ordered
+/// compensated path as the ganged reductions and must stay bit-identical
+/// — fields, per-profile clocks and full ledgers — in both VLA backends.
+TEST(RankParallelTest, ClassicDotsBitIdenticalAcrossHostThreads) {
   for (const char* mode : {"native", "interpret"}) {
     const std::string vla_exec(mode);
-    core::RunConfig barrier = pulse_config(1, vla_exec, 1);
-    barrier.nx1 = 48;
-    barrier.nx2 = 24;
-    barrier.nprx1 = 2;
-    barrier.nprx2 = 2;
-    barrier.ganged = false;
-    core::RunConfig graph = barrier;
-    graph.host_threads = 4;
-    graph.host_sched = "graph";
-    testutil::expect_captures_identical(run_config(barrier), run_config(graph),
-                                        vla_exec + "+classic+graph@4");
+    core::RunConfig serial = pulse_config(1, vla_exec, 1);
+    serial.nx1 = 48;
+    serial.nx2 = 24;
+    serial.nprx1 = 2;
+    serial.nprx2 = 2;
+    serial.ganged = false;
+    core::RunConfig par4 = serial;
+    par4.host_threads = 4;
+    testutil::expect_captures_identical(run_config(serial), run_config(par4),
+                                        vla_exec + "+classic@4");
   }
 }
 
-/// MgPrecond::apply opens its own GraphRegion; inside the Krylov
-/// solver's region it must join the outer session (region inside region)
-/// rather than deadlock or double-install the scheduler hook.  The
-/// V-cycle also exercises the overlapped corner-filling transfers and
-/// the chained smoother stages.
-TEST(HostSchedTest, MgPrecondRegionNestingBitIdenticalUnderGraph) {
+/// The V-cycle's corner-filling transfers and smoother stages.
+TEST(RankParallelTest, MgPrecondBitIdenticalAcrossHostThreads) {
   for (const char* fuse : {"off", "on"}) {
-    core::RunConfig barrier = pulse_config(1, "native", 2);
-    barrier.preconditioner = "mg";
-    barrier.fuse = fuse;
-    core::RunConfig graph = barrier;
-    graph.host_threads = 4;
-    graph.host_sched = "graph";
+    core::RunConfig serial = pulse_config(1, "native", 2);
+    serial.preconditioner = "mg";
+    serial.fuse = fuse;
+    core::RunConfig par4 = serial;
+    par4.host_threads = 4;
     testutil::expect_captures_identical(
-        run_config(barrier), run_config(graph),
-        std::string("mg+fuse=") + fuse + "+graph@4");
+        run_config(serial), run_config(par4),
+        std::string("mg+fuse=") + fuse + "@4");
   }
 }
 
-/// Hydro sweeps pipeline through the session (the x1 sweep's exchange is
-/// the join the x2 sweep chains after); the coupled radhydro scenario
-/// pins field, clock and ledger identity for that path.
-TEST(HostSchedTest, HydroScenarioBitIdenticalUnderGraph) {
-  core::RunConfig barrier;
-  barrier.problem = "sedov-radhydro";
-  barrier.nx1 = 32;
-  barrier.nx2 = 32;
-  barrier.steps = 2;
-  barrier.nprx1 = 2;
-  barrier.nprx2 = 2;
-  barrier.host_threads = 1;
-  core::RunConfig graph = barrier;
-  graph.host_threads = 4;
-  graph.host_sched = "graph";
-  testutil::expect_captures_identical(run_config(barrier), run_config(graph),
-                                      "sedov+graph@4");
+/// The coupled radhydro scenario pins field, clock and ledger identity
+/// for the hydro sweeps.
+TEST(RankParallelTest, HydroScenarioBitIdenticalAcrossHostThreads) {
+  core::RunConfig serial;
+  serial.problem = "sedov-radhydro";
+  serial.nx1 = 32;
+  serial.nx2 = 32;
+  serial.steps = 2;
+  serial.nprx1 = 2;
+  serial.nprx2 = 2;
+  serial.host_threads = 1;
+  core::RunConfig par4 = serial;
+  par4.host_threads = 4;
+  testutil::expect_captures_identical(run_config(serial), run_config(par4),
+                                      "sedov@4");
 }
 
-/// A farm mixing graph- and barrier-scheduled jobs matches each job's
-/// solo run exactly.  Inside a farmed pool task GraphRegion keeps inline
-/// semantics, so this also pins that the scheduler knob never perturbs
-/// results regardless of where the job lands.
-TEST(HostSchedTest, MixedFarmBitIdenticalToSolo) {
+/// A farm mixing fused and unfused jobs matches each job's solo run
+/// exactly, regardless of where the job lands.
+TEST(RankParallelTest, MixedFarmBitIdenticalToSolo) {
   std::vector<farm::FarmJob> jobs;
 
   core::RunConfig pulse = pulse_config(1, "native", 2);
@@ -329,11 +291,7 @@ TEST(HostSchedTest, MixedFarmBitIdenticalToSolo) {
   pulse.nx2 = 24;
   pulse.nprx1 = 2;
   pulse.nprx2 = 2;
-  jobs.push_back({"pulse-barrier", pulse});
-
-  core::RunConfig pulse_graph = pulse;
-  pulse_graph.host_sched = "graph";
-  jobs.push_back({"pulse-graph", pulse_graph});
+  jobs.push_back({"pulse", pulse});
 
   core::RunConfig relax;
   relax.problem = "two-species-relax";
@@ -341,9 +299,8 @@ TEST(HostSchedTest, MixedFarmBitIdenticalToSolo) {
   relax.nx2 = 24;
   relax.steps = 2;
   relax.fuse = "on";
-  relax.host_sched = "graph";
   relax.host_threads = 1;
-  jobs.push_back({"relax-graph-fused", relax});
+  jobs.push_back({"relax-fused", relax});
 
   std::vector<SimCapture> solo;
   solo.reserve(jobs.size());

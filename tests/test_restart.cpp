@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "core/v2d.hpp"
@@ -57,7 +58,10 @@ void expect_exec_state_equal(const core::Simulation& a,
 
 /// Uninterrupted run vs. run-to-midpoint + restart + run-to-end, with the
 /// same periodic checkpoint cadence so both runs price identical Io.
-void round_trip(const std::string& problem, const std::string& vla_exec) {
+/// `edit_knobs`, when set, rewrites the midpoint file's pinned-knob group
+/// before the resume (to stand in for a checkpoint an older build wrote).
+void round_trip(const std::string& problem, const std::string& vla_exec,
+                const std::function<void(io::Group&)>& edit_knobs = {}) {
   const std::string mid = temp_path("v2d_mid_" + problem + vla_exec + ".h5l");
   const std::string full =
       temp_path("v2d_full_" + problem + vla_exec + ".h5l");
@@ -79,6 +83,11 @@ void round_trip(const std::string& problem, const std::string& vla_exec) {
   core::Simulation first(half);
   first.run();
   ASSERT_EQ(first.steps_taken(), 2);
+  if (edit_knobs) {
+    io::H5File file = io::H5File::load(mid);
+    edit_knobs(file.root().group("config"));
+    file.save(mid);
+  }
 
   // Resume from the midpoint file and finish.
   core::RunConfig rest = cfg;
@@ -127,6 +136,19 @@ TEST(Restart, SedovRadhydroRoundTripNative) {
 std::uint64_t checkpoint_calls(const core::Simulation& sim) {
   const auto led = sim.exec().merged_ledger(0);
   return led.has("checkpoint") ? led.at("checkpoint").counts.calls : 0;
+}
+
+/// Checkpoints pinned host_sched while a second host executor existed.
+/// Restore compares only the current pin list, so a checkpoint that
+/// stores either old value still resumes bit-identically.
+TEST(Restart, RetiredHostSchedPinStillResumes) {
+  for (const std::string stored : {"barrier", "graph"}) {
+    SCOPED_TRACE("host_sched=" + stored);
+    round_trip("gaussian-pulse", "native", [&](io::Group& knobs) {
+      EXPECT_FALSE(knobs.has_attr("host_sched"));
+      knobs.set_attr("host_sched", stored);
+    });
+  }
 }
 
 TEST(Restart, FinalCheckpointNotDuplicatedWhenCadenceCoversLastStep) {

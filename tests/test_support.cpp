@@ -137,8 +137,11 @@ TEST(Options, OutOfRangeIntegersThrowNamingTheOption) {
 
 TEST(Options, RunConfigAndJobLinesRejectOutOfRangeIntegers) {
   // Parse only: no Simulation and no pool is built from these values.
-  for (const std::string opt : {"--nx1 4294967496", "--steps 4294967297",
-                                "--host-threads 4294967297"}) {
+  // --host-threads is also bounded to [0, kMaxHostThreads]: each lane but
+  // one is an OS thread.
+  for (const std::string opt :
+       {"--nx1 4294967496", "--steps 4294967297", "--host-threads 4294967297",
+        "--host-threads -1", "--host-threads 1025", "--host-threads 100000"}) {
     const std::string name = opt.substr(0, opt.find(' '));
     const std::string msg = thrown_message([&] {
       return farm::parse_job_line("--problem gaussian-pulse " + opt, "j");
@@ -149,6 +152,10 @@ TEST(Options, RunConfigAndJobLinesRejectOutOfRangeIntegers) {
   EXPECT_EQ(farm::parse_job_line("--problem gaussian-pulse --steps 3", "j")
                 .cfg.steps,
             3);
+  EXPECT_EQ(farm::parse_job_line("--problem gaussian-pulse --host-threads 1024",
+                                 "j")
+                .cfg.host_threads,
+            kMaxHostThreads);
 }
 
 TEST(Options, DuplicateRegistrationThrows) {
@@ -425,10 +432,6 @@ TEST(ThreadPoolWait, BackToBackRegionsSpinningOrBlocking) {
         pool.run(n, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
         for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
       }
-      std::atomic<int> posted{0};
-      auto job = pool.post(lanes - 1, [&](int) { posted++; });
-      pool.wait(job);
-      EXPECT_EQ(posted.load(), lanes - 1);
     }
   }
 }

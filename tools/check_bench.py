@@ -34,18 +34,6 @@ Conditional floors (rank_parallel, farm) carry an explicit per-row
 be from the row's own host_cores, so a runner can neither silently skip a
 floor it could have judged nor claim to have enforced one it couldn't.
 
-rank_parallel rows are keyed by (threads, sched) — "sched" defaults to
-"barrier" for pre-graph baselines — and graph-family rows ("graph",
-"graph+affinity") additionally carry a "graph_floor" marker:
---host-sched graph must keep >= 95% of barrier's host throughput at the
-same thread count whenever the runner has >= 2 cores.  "graph+affinity"
-rows carry an "affinity_floor" marker with the same core condition (the
-homing policy may never lose to the submitter-lane placement it
-replaced, vs_graph >= 1.0) plus scheduler-counter keys (sched_tasks,
-sched_chained, sched_steals, sched_affinity_hits, sched_combines) that
-must be populated on every graph-family row — an all-zero counter block
-means the run never actually went through the graph executor.
-
 --subset (rank_parallel only) permits the current run's rows to be a
 subset of the baseline's, for CI legs that re-run only a slice of the
 thread sweep (e.g. a forced --threads 1,2 leg on a 2-core runner).
@@ -68,17 +56,6 @@ KERNELS_HOT = {"daxpy", "dprod", "matvec"}
 RANK_PARALLEL_GATE_THREADS = 4
 RANK_PARALLEL_GATE_SPEEDUP = 2.0
 RANK_PARALLEL_GATE_RANKS = 16
-# --host-sched graph must keep >= 95% of barrier's host throughput at the
-# same thread count, judged only with >= 2 host cores (on one core the
-# ratio is scheduling noise).
-RANK_PARALLEL_GRAPH_FLOOR = 0.95
-RANK_PARALLEL_GRAPH_CORES = 2
-# graph+affinity must keep >= 1.0x of plain graph's host throughput at
-# the same thread count (best-of-repeats; same >= 2-core condition).
-RANK_PARALLEL_AFFINITY_FLOOR = 1.0
-RANK_PARALLEL_SCHED_COUNTERS = ("sched_tasks", "sched_chained",
-                                "sched_steals", "sched_affinity_hits",
-                                "sched_combines")
 FARM_GATE_JOBS = 8
 FARM_GATE_SPEEDUP = 1.3
 FARM_GATE_CORES = 2
@@ -177,18 +154,13 @@ def check_kernels(current, baseline, tol):
 
 def check_rank_parallel(current, baseline, tol, subset=False):
     errors = []
-    # Rows are keyed by (threads, sched); pre-graph baselines carry no
-    # "sched" field and mean the barrier engine.
-    def rp_key(row):
-        return (row["threads"], row.get("sched", "barrier"))
-
-    cur = {rp_key(r): r for r in current}
-    base = {rp_key(r): r for r in baseline}
+    cur = index(current, ("threads",))
+    base = index(baseline, ("threads",))
     missing = set(base) - set(cur)
     if missing and not subset:
         errors.append(f"rows missing from current run: {sorted(missing)}")
     for key, row in sorted(cur.items()):
-        tag = f"rank_parallel threads={key[0]}/{key[1]}"
+        tag = f"rank_parallel threads={key[0]}"
         # The engine's invariant: bit-identical fields and simulated clocks
         # at any host-thread count.
         if not row["identical"]:
@@ -208,57 +180,6 @@ def check_rank_parallel(current, baseline, tol, subset=False):
                     f"< floor {RANK_PARALLEL_GATE_SPEEDUP}")
         else:
             check_gate_marker(row, tag, "n/a", errors)
-        # The graph-vs-barrier regression floor, re-derived from the row's
-        # own host_cores: a graph-family row must keep >= 95% of its
-        # barrier sibling's throughput whenever the host can actually
-        # schedule.
-        if key[1] != "barrier":
-            expected = ("enforced"
-                        if row["host_cores"] >= RANK_PARALLEL_GRAPH_CORES
-                        else "skipped")
-            check_gate_marker(row, tag, expected, errors,
-                              field="graph_floor")
-            if (expected == "enforced"
-                    and row["vs_barrier"] < RANK_PARALLEL_GRAPH_FLOOR):
-                errors.append(
-                    f"{tag}: graph kept only {row['vs_barrier']:.2f}x of "
-                    f"barrier's throughput, floor "
-                    f"{RANK_PARALLEL_GRAPH_FLOOR}")
-            # Scheduler counters must be present and populated: a
-            # graph-family row that never executed graph tasks is
-            # measuring the wrong engine.
-            absent = [f for f in RANK_PARALLEL_SCHED_COUNTERS
-                      if f not in row]
-            if absent:
-                errors.append(f"{tag}: missing scheduler counters "
-                              f"{absent}")
-            elif row["sched_tasks"] <= 0 or row["sched_chained"] <= 0:
-                errors.append(
-                    f"{tag}: scheduler counters not populated "
-                    f"(tasks={row['sched_tasks']}, "
-                    f"chained={row['sched_chained']})")
-        # The affinity-vs-plain-graph floor, same >= 2-core condition:
-        # homing may never lose to the submitter-lane placement.  With
-        # >= 2 threads the affinity leg must also actually report
-        # home-lane hits — chained tasks are homed whenever more than one
-        # lane exists.
-        if key[1] == "graph+affinity":
-            expected = ("enforced"
-                        if row["host_cores"] >= RANK_PARALLEL_GRAPH_CORES
-                        else "skipped")
-            check_gate_marker(row, tag, expected, errors,
-                              field="affinity_floor")
-            if (expected == "enforced"
-                    and row["vs_graph"] < RANK_PARALLEL_AFFINITY_FLOOR):
-                errors.append(
-                    f"{tag}: graph+affinity kept only "
-                    f"{row['vs_graph']:.2f}x of plain graph's throughput, "
-                    f"floor {RANK_PARALLEL_AFFINITY_FLOOR}")
-            if (row["threads"] >= 2
-                    and row.get("sched_affinity_hits", 0) <= 0):
-                errors.append(
-                    f"{tag}: affinity leg reported no home-lane hits at "
-                    f"{row['threads']} threads")
         ref = base.get(key)
         if ref is None:
             continue
