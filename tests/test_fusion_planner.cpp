@@ -33,6 +33,8 @@
 #include "linalg/dag_capture.hpp"
 #include "linalg/fusion/fused_exec.hpp"
 #include "linalg/fusion/planner.hpp"
+#include "linalg/kernels.hpp"
+#include "linalg/mg/mg_kernels.hpp"
 #include "linalg/precond.hpp"
 #include "linalg/stencil_op.hpp"
 #include "sim_capture.hpp"
@@ -313,6 +315,247 @@ constexpr GoldenCounts kGoldenCounts[] = {
     {"hadamard_update_dot2", 2048, 200, "fmul:7/200 fma:21/600 ld1:21/600 st1:14/400 reduce:2/64 sel:3/3 pred:8/256 int:7/200 branch:7/200 rd:4800 wr:3200"},
 };
 
+/// KernelCounts of one primitive call (the Table II kernels and the MG
+/// diagonal rows), captured from the hand-written closed-form formulas
+/// (interpreter and native agreed) before the primitives became one-node
+/// planner chains.
+constexpr GoldenCounts kPrimitiveGoldenCounts[] = {
+    {"daxpy", 128, 0, "sel:1/1 rd:0 wr:0"},
+    {"daxpy", 128, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/2 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"daxpy", 128, 7, "fma:4/7 ld1:8/14 st1:4/7 sel:1/1 pred:4/8 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"daxpy", 128, 8, "fma:4/8 ld1:8/16 st1:4/8 sel:1/1 pred:4/8 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"daxpy", 128, 9, "fma:5/9 ld1:10/18 st1:5/9 sel:1/1 pred:5/10 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"daxpy", 128, 200, "fma:100/200 ld1:200/400 st1:100/200 sel:1/1 pred:100/200 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"daxpy", 512, 0, "sel:1/1 rd:0 wr:0"},
+    {"daxpy", 512, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/8 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"daxpy", 512, 7, "fma:1/7 ld1:2/14 st1:1/7 sel:1/1 pred:1/8 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"daxpy", 512, 8, "fma:1/8 ld1:2/16 st1:1/8 sel:1/1 pred:1/8 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"daxpy", 512, 9, "fma:2/9 ld1:4/18 st1:2/9 sel:1/1 pred:2/16 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"daxpy", 512, 200, "fma:25/200 ld1:50/400 st1:25/200 sel:1/1 pred:25/200 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"daxpy", 2048, 0, "sel:1/1 rd:0 wr:0"},
+    {"daxpy", 2048, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/32 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"daxpy", 2048, 7, "fma:1/7 ld1:2/14 st1:1/7 sel:1/1 pred:1/32 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"daxpy", 2048, 8, "fma:1/8 ld1:2/16 st1:1/8 sel:1/1 pred:1/32 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"daxpy", 2048, 9, "fma:1/9 ld1:2/18 st1:1/9 sel:1/1 pred:1/32 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"daxpy", 2048, 200, "fma:7/200 ld1:14/400 st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
+    {"dscal", 128, 0, "sel:2/2 rd:0 wr:0"},
+    {"dscal", 128, 1, "fma:1/1 ld1:1/1 st1:1/1 sel:2/2 pred:1/2 int:1/1 branch:1/1 rd:8 wr:8"},
+    {"dscal", 128, 7, "fma:4/7 ld1:4/7 st1:4/7 sel:2/2 pred:4/8 int:4/7 branch:4/7 rd:56 wr:56"},
+    {"dscal", 128, 8, "fma:4/8 ld1:4/8 st1:4/8 sel:2/2 pred:4/8 int:4/8 branch:4/8 rd:64 wr:64"},
+    {"dscal", 128, 9, "fma:5/9 ld1:5/9 st1:5/9 sel:2/2 pred:5/10 int:5/9 branch:5/9 rd:72 wr:72"},
+    {"dscal", 128, 200, "fma:100/200 ld1:100/200 st1:100/200 sel:2/2 pred:100/200 int:100/200 branch:100/200 rd:1600 wr:1600"},
+    {"dscal", 512, 0, "sel:2/2 rd:0 wr:0"},
+    {"dscal", 512, 1, "fma:1/1 ld1:1/1 st1:1/1 sel:2/2 pred:1/8 int:1/1 branch:1/1 rd:8 wr:8"},
+    {"dscal", 512, 7, "fma:1/7 ld1:1/7 st1:1/7 sel:2/2 pred:1/8 int:1/7 branch:1/7 rd:56 wr:56"},
+    {"dscal", 512, 8, "fma:1/8 ld1:1/8 st1:1/8 sel:2/2 pred:1/8 int:1/8 branch:1/8 rd:64 wr:64"},
+    {"dscal", 512, 9, "fma:2/9 ld1:2/9 st1:2/9 sel:2/2 pred:2/16 int:2/9 branch:2/9 rd:72 wr:72"},
+    {"dscal", 512, 200, "fma:25/200 ld1:25/200 st1:25/200 sel:2/2 pred:25/200 int:25/200 branch:25/200 rd:1600 wr:1600"},
+    {"dscal", 2048, 0, "sel:2/2 rd:0 wr:0"},
+    {"dscal", 2048, 1, "fma:1/1 ld1:1/1 st1:1/1 sel:2/2 pred:1/32 int:1/1 branch:1/1 rd:8 wr:8"},
+    {"dscal", 2048, 7, "fma:1/7 ld1:1/7 st1:1/7 sel:2/2 pred:1/32 int:1/7 branch:1/7 rd:56 wr:56"},
+    {"dscal", 2048, 8, "fma:1/8 ld1:1/8 st1:1/8 sel:2/2 pred:1/32 int:1/8 branch:1/8 rd:64 wr:64"},
+    {"dscal", 2048, 9, "fma:1/9 ld1:1/9 st1:1/9 sel:2/2 pred:1/32 int:1/9 branch:1/9 rd:72 wr:72"},
+    {"dscal", 2048, 200, "fma:7/200 ld1:7/200 st1:7/200 sel:2/2 pred:7/224 int:7/200 branch:7/200 rd:1600 wr:1600"},
+    {"ddaxpy", 128, 0, "sel:2/2 rd:0 wr:0"},
+    {"ddaxpy", 128, 1, "fma:2/2 ld1:3/3 st1:1/1 sel:2/2 pred:1/2 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"ddaxpy", 128, 7, "fma:8/14 ld1:12/21 st1:4/7 sel:2/2 pred:4/8 int:4/7 branch:4/7 rd:168 wr:56"},
+    {"ddaxpy", 128, 8, "fma:8/16 ld1:12/24 st1:4/8 sel:2/2 pred:4/8 int:4/8 branch:4/8 rd:192 wr:64"},
+    {"ddaxpy", 128, 9, "fma:10/18 ld1:15/27 st1:5/9 sel:2/2 pred:5/10 int:5/9 branch:5/9 rd:216 wr:72"},
+    {"ddaxpy", 128, 200, "fma:200/400 ld1:300/600 st1:100/200 sel:2/2 pred:100/200 int:100/200 branch:100/200 rd:4800 wr:1600"},
+    {"ddaxpy", 512, 0, "sel:2/2 rd:0 wr:0"},
+    {"ddaxpy", 512, 1, "fma:2/2 ld1:3/3 st1:1/1 sel:2/2 pred:1/8 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"ddaxpy", 512, 7, "fma:2/14 ld1:3/21 st1:1/7 sel:2/2 pred:1/8 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"ddaxpy", 512, 8, "fma:2/16 ld1:3/24 st1:1/8 sel:2/2 pred:1/8 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"ddaxpy", 512, 9, "fma:4/18 ld1:6/27 st1:2/9 sel:2/2 pred:2/16 int:2/9 branch:2/9 rd:216 wr:72"},
+    {"ddaxpy", 512, 200, "fma:50/400 ld1:75/600 st1:25/200 sel:2/2 pred:25/200 int:25/200 branch:25/200 rd:4800 wr:1600"},
+    {"ddaxpy", 2048, 0, "sel:2/2 rd:0 wr:0"},
+    {"ddaxpy", 2048, 1, "fma:2/2 ld1:3/3 st1:1/1 sel:2/2 pred:1/32 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"ddaxpy", 2048, 7, "fma:2/14 ld1:3/21 st1:1/7 sel:2/2 pred:1/32 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"ddaxpy", 2048, 8, "fma:2/16 ld1:3/24 st1:1/8 sel:2/2 pred:1/32 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"ddaxpy", 2048, 9, "fma:2/18 ld1:3/27 st1:1/9 sel:2/2 pred:1/32 int:1/9 branch:1/9 rd:216 wr:72"},
+    {"ddaxpy", 2048, 200, "fma:14/400 ld1:21/600 st1:7/200 sel:2/2 pred:7/224 int:7/200 branch:7/200 rd:4800 wr:1600"},
+    {"xpby", 128, 0, "sel:1/1 rd:0 wr:0"},
+    {"xpby", 128, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/2 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"xpby", 128, 7, "fma:4/7 ld1:8/14 st1:4/7 sel:1/1 pred:4/8 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"xpby", 128, 8, "fma:4/8 ld1:8/16 st1:4/8 sel:1/1 pred:4/8 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"xpby", 128, 9, "fma:5/9 ld1:10/18 st1:5/9 sel:1/1 pred:5/10 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"xpby", 128, 200, "fma:100/200 ld1:200/400 st1:100/200 sel:1/1 pred:100/200 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"xpby", 512, 0, "sel:1/1 rd:0 wr:0"},
+    {"xpby", 512, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/8 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"xpby", 512, 7, "fma:1/7 ld1:2/14 st1:1/7 sel:1/1 pred:1/8 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"xpby", 512, 8, "fma:1/8 ld1:2/16 st1:1/8 sel:1/1 pred:1/8 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"xpby", 512, 9, "fma:2/9 ld1:4/18 st1:2/9 sel:1/1 pred:2/16 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"xpby", 512, 200, "fma:25/200 ld1:50/400 st1:25/200 sel:1/1 pred:25/200 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"xpby", 2048, 0, "sel:1/1 rd:0 wr:0"},
+    {"xpby", 2048, 1, "fma:1/1 ld1:2/2 st1:1/1 sel:1/1 pred:1/32 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"xpby", 2048, 7, "fma:1/7 ld1:2/14 st1:1/7 sel:1/1 pred:1/32 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"xpby", 2048, 8, "fma:1/8 ld1:2/16 st1:1/8 sel:1/1 pred:1/32 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"xpby", 2048, 9, "fma:1/9 ld1:2/18 st1:1/9 sel:1/1 pred:1/32 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"xpby", 2048, 200, "fma:7/200 ld1:14/400 st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
+    {"copy", 128, 0, " rd:0 wr:0"},
+    {"copy", 128, 1, "ld1:1/1 st1:1/1 pred:1/2 int:1/1 branch:1/1 rd:8 wr:8"},
+    {"copy", 128, 7, "ld1:4/7 st1:4/7 pred:4/8 int:4/7 branch:4/7 rd:56 wr:56"},
+    {"copy", 128, 8, "ld1:4/8 st1:4/8 pred:4/8 int:4/8 branch:4/8 rd:64 wr:64"},
+    {"copy", 128, 9, "ld1:5/9 st1:5/9 pred:5/10 int:5/9 branch:5/9 rd:72 wr:72"},
+    {"copy", 128, 200, "ld1:100/200 st1:100/200 pred:100/200 int:100/200 branch:100/200 rd:1600 wr:1600"},
+    {"copy", 512, 0, " rd:0 wr:0"},
+    {"copy", 512, 1, "ld1:1/1 st1:1/1 pred:1/8 int:1/1 branch:1/1 rd:8 wr:8"},
+    {"copy", 512, 7, "ld1:1/7 st1:1/7 pred:1/8 int:1/7 branch:1/7 rd:56 wr:56"},
+    {"copy", 512, 8, "ld1:1/8 st1:1/8 pred:1/8 int:1/8 branch:1/8 rd:64 wr:64"},
+    {"copy", 512, 9, "ld1:2/9 st1:2/9 pred:2/16 int:2/9 branch:2/9 rd:72 wr:72"},
+    {"copy", 512, 200, "ld1:25/200 st1:25/200 pred:25/200 int:25/200 branch:25/200 rd:1600 wr:1600"},
+    {"copy", 2048, 0, " rd:0 wr:0"},
+    {"copy", 2048, 1, "ld1:1/1 st1:1/1 pred:1/32 int:1/1 branch:1/1 rd:8 wr:8"},
+    {"copy", 2048, 7, "ld1:1/7 st1:1/7 pred:1/32 int:1/7 branch:1/7 rd:56 wr:56"},
+    {"copy", 2048, 8, "ld1:1/8 st1:1/8 pred:1/32 int:1/8 branch:1/8 rd:64 wr:64"},
+    {"copy", 2048, 9, "ld1:1/9 st1:1/9 pred:1/32 int:1/9 branch:1/9 rd:72 wr:72"},
+    {"copy", 2048, 200, "ld1:7/200 st1:7/200 pred:7/224 int:7/200 branch:7/200 rd:1600 wr:1600"},
+    {"fill", 128, 0, "sel:1/1 rd:0 wr:0"},
+    {"fill", 128, 1, "st1:1/1 sel:1/1 pred:1/2 int:1/1 branch:1/1 rd:0 wr:8"},
+    {"fill", 128, 7, "st1:4/7 sel:1/1 pred:4/8 int:4/7 branch:4/7 rd:0 wr:56"},
+    {"fill", 128, 8, "st1:4/8 sel:1/1 pred:4/8 int:4/8 branch:4/8 rd:0 wr:64"},
+    {"fill", 128, 9, "st1:5/9 sel:1/1 pred:5/10 int:5/9 branch:5/9 rd:0 wr:72"},
+    {"fill", 128, 200, "st1:100/200 sel:1/1 pred:100/200 int:100/200 branch:100/200 rd:0 wr:1600"},
+    {"fill", 512, 0, "sel:1/1 rd:0 wr:0"},
+    {"fill", 512, 1, "st1:1/1 sel:1/1 pred:1/8 int:1/1 branch:1/1 rd:0 wr:8"},
+    {"fill", 512, 7, "st1:1/7 sel:1/1 pred:1/8 int:1/7 branch:1/7 rd:0 wr:56"},
+    {"fill", 512, 8, "st1:1/8 sel:1/1 pred:1/8 int:1/8 branch:1/8 rd:0 wr:64"},
+    {"fill", 512, 9, "st1:2/9 sel:1/1 pred:2/16 int:2/9 branch:2/9 rd:0 wr:72"},
+    {"fill", 512, 200, "st1:25/200 sel:1/1 pred:25/200 int:25/200 branch:25/200 rd:0 wr:1600"},
+    {"fill", 2048, 0, "sel:1/1 rd:0 wr:0"},
+    {"fill", 2048, 1, "st1:1/1 sel:1/1 pred:1/32 int:1/1 branch:1/1 rd:0 wr:8"},
+    {"fill", 2048, 7, "st1:1/7 sel:1/1 pred:1/32 int:1/7 branch:1/7 rd:0 wr:56"},
+    {"fill", 2048, 8, "st1:1/8 sel:1/1 pred:1/32 int:1/8 branch:1/8 rd:0 wr:64"},
+    {"fill", 2048, 9, "st1:1/9 sel:1/1 pred:1/32 int:1/9 branch:1/9 rd:0 wr:72"},
+    {"fill", 2048, 200, "st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:0 wr:1600"},
+    {"sub", 128, 0, " rd:0 wr:0"},
+    {"sub", 128, 1, "fadd:1/1 ld1:2/2 st1:1/1 pred:1/2 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"sub", 128, 7, "fadd:4/7 ld1:8/14 st1:4/7 pred:4/8 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"sub", 128, 8, "fadd:4/8 ld1:8/16 st1:4/8 pred:4/8 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"sub", 128, 9, "fadd:5/9 ld1:10/18 st1:5/9 pred:5/10 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"sub", 128, 200, "fadd:100/200 ld1:200/400 st1:100/200 pred:100/200 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"sub", 512, 0, " rd:0 wr:0"},
+    {"sub", 512, 1, "fadd:1/1 ld1:2/2 st1:1/1 pred:1/8 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"sub", 512, 7, "fadd:1/7 ld1:2/14 st1:1/7 pred:1/8 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"sub", 512, 8, "fadd:1/8 ld1:2/16 st1:1/8 pred:1/8 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"sub", 512, 9, "fadd:2/9 ld1:4/18 st1:2/9 pred:2/16 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"sub", 512, 200, "fadd:25/200 ld1:50/400 st1:25/200 pred:25/200 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"sub", 2048, 0, " rd:0 wr:0"},
+    {"sub", 2048, 1, "fadd:1/1 ld1:2/2 st1:1/1 pred:1/32 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"sub", 2048, 7, "fadd:1/7 ld1:2/14 st1:1/7 pred:1/32 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"sub", 2048, 8, "fadd:1/8 ld1:2/16 st1:1/8 pred:1/32 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"sub", 2048, 9, "fadd:1/9 ld1:2/18 st1:1/9 pred:1/32 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"sub", 2048, 200, "fadd:7/200 ld1:14/400 st1:7/200 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
+    {"hadamard", 128, 0, " rd:0 wr:0"},
+    {"hadamard", 128, 1, "fmul:1/1 ld1:2/2 st1:1/1 pred:1/2 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"hadamard", 128, 7, "fmul:4/7 ld1:8/14 st1:4/7 pred:4/8 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"hadamard", 128, 8, "fmul:4/8 ld1:8/16 st1:4/8 pred:4/8 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"hadamard", 128, 9, "fmul:5/9 ld1:10/18 st1:5/9 pred:5/10 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"hadamard", 128, 200, "fmul:100/200 ld1:200/400 st1:100/200 pred:100/200 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"hadamard", 512, 0, " rd:0 wr:0"},
+    {"hadamard", 512, 1, "fmul:1/1 ld1:2/2 st1:1/1 pred:1/8 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"hadamard", 512, 7, "fmul:1/7 ld1:2/14 st1:1/7 pred:1/8 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"hadamard", 512, 8, "fmul:1/8 ld1:2/16 st1:1/8 pred:1/8 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"hadamard", 512, 9, "fmul:2/9 ld1:4/18 st1:2/9 pred:2/16 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"hadamard", 512, 200, "fmul:25/200 ld1:50/400 st1:25/200 pred:25/200 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"hadamard", 2048, 0, " rd:0 wr:0"},
+    {"hadamard", 2048, 1, "fmul:1/1 ld1:2/2 st1:1/1 pred:1/32 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"hadamard", 2048, 7, "fmul:1/7 ld1:2/14 st1:1/7 pred:1/32 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"hadamard", 2048, 8, "fmul:1/8 ld1:2/16 st1:1/8 pred:1/32 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"hadamard", 2048, 9, "fmul:1/9 ld1:2/18 st1:1/9 pred:1/32 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"hadamard", 2048, 200, "fmul:7/200 ld1:14/400 st1:7/200 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
+    {"dprod", 128, 0, "reduce:1/2 sel:1/1 pred:1/2 rd:0 wr:0"},
+    {"dprod", 128, 1, "fma:1/1 ld1:2/2 reduce:1/2 sel:1/1 pred:2/4 int:1/1 branch:1/1 rd:16 wr:0"},
+    {"dprod", 128, 7, "fma:4/7 ld1:8/14 reduce:1/2 sel:1/1 pred:5/10 int:4/7 branch:4/7 rd:112 wr:0"},
+    {"dprod", 128, 8, "fma:4/8 ld1:8/16 reduce:1/2 sel:1/1 pred:5/10 int:4/8 branch:4/8 rd:128 wr:0"},
+    {"dprod", 128, 9, "fma:5/9 ld1:10/18 reduce:1/2 sel:1/1 pred:6/12 int:5/9 branch:5/9 rd:144 wr:0"},
+    {"dprod", 128, 200, "fma:100/200 ld1:200/400 reduce:1/2 sel:1/1 pred:101/202 int:100/200 branch:100/200 rd:3200 wr:0"},
+    {"dprod", 512, 0, "reduce:1/8 sel:1/1 pred:1/8 rd:0 wr:0"},
+    {"dprod", 512, 1, "fma:1/1 ld1:2/2 reduce:1/8 sel:1/1 pred:2/16 int:1/1 branch:1/1 rd:16 wr:0"},
+    {"dprod", 512, 7, "fma:1/7 ld1:2/14 reduce:1/8 sel:1/1 pred:2/16 int:1/7 branch:1/7 rd:112 wr:0"},
+    {"dprod", 512, 8, "fma:1/8 ld1:2/16 reduce:1/8 sel:1/1 pred:2/16 int:1/8 branch:1/8 rd:128 wr:0"},
+    {"dprod", 512, 9, "fma:2/9 ld1:4/18 reduce:1/8 sel:1/1 pred:3/24 int:2/9 branch:2/9 rd:144 wr:0"},
+    {"dprod", 512, 200, "fma:25/200 ld1:50/400 reduce:1/8 sel:1/1 pred:26/208 int:25/200 branch:25/200 rd:3200 wr:0"},
+    {"dprod", 2048, 0, "reduce:1/32 sel:1/1 pred:1/32 rd:0 wr:0"},
+    {"dprod", 2048, 1, "fma:1/1 ld1:2/2 reduce:1/32 sel:1/1 pred:2/64 int:1/1 branch:1/1 rd:16 wr:0"},
+    {"dprod", 2048, 7, "fma:1/7 ld1:2/14 reduce:1/32 sel:1/1 pred:2/64 int:1/7 branch:1/7 rd:112 wr:0"},
+    {"dprod", 2048, 8, "fma:1/8 ld1:2/16 reduce:1/32 sel:1/1 pred:2/64 int:1/8 branch:1/8 rd:128 wr:0"},
+    {"dprod", 2048, 9, "fma:1/9 ld1:2/18 reduce:1/32 sel:1/1 pred:2/64 int:1/9 branch:1/9 rd:144 wr:0"},
+    {"dprod", 2048, 200, "fma:7/200 ld1:14/400 reduce:1/32 sel:1/1 pred:8/256 int:7/200 branch:7/200 rd:3200 wr:0"},
+    {"stencil_row", 128, 0, " rd:0 wr:0"},
+    {"stencil_row", 128, 1, "fmul:1/1 fma:4/4 ld1:10/10 st1:1/1 pred:1/2 int:1/1 branch:1/1 rd:80 wr:8"},
+    {"stencil_row", 128, 7, "fmul:4/7 fma:16/28 ld1:40/70 st1:4/7 pred:4/8 int:4/7 branch:4/7 rd:560 wr:56"},
+    {"stencil_row", 128, 8, "fmul:4/8 fma:16/32 ld1:40/80 st1:4/8 pred:4/8 int:4/8 branch:4/8 rd:640 wr:64"},
+    {"stencil_row", 128, 9, "fmul:5/9 fma:20/36 ld1:50/90 st1:5/9 pred:5/10 int:5/9 branch:5/9 rd:720 wr:72"},
+    {"stencil_row", 128, 200, "fmul:100/200 fma:400/800 ld1:1000/2000 st1:100/200 pred:100/200 int:100/200 branch:100/200 rd:16000 wr:1600"},
+    {"stencil_row", 512, 0, " rd:0 wr:0"},
+    {"stencil_row", 512, 1, "fmul:1/1 fma:4/4 ld1:10/10 st1:1/1 pred:1/8 int:1/1 branch:1/1 rd:80 wr:8"},
+    {"stencil_row", 512, 7, "fmul:1/7 fma:4/28 ld1:10/70 st1:1/7 pred:1/8 int:1/7 branch:1/7 rd:560 wr:56"},
+    {"stencil_row", 512, 8, "fmul:1/8 fma:4/32 ld1:10/80 st1:1/8 pred:1/8 int:1/8 branch:1/8 rd:640 wr:64"},
+    {"stencil_row", 512, 9, "fmul:2/9 fma:8/36 ld1:20/90 st1:2/9 pred:2/16 int:2/9 branch:2/9 rd:720 wr:72"},
+    {"stencil_row", 512, 200, "fmul:25/200 fma:100/800 ld1:250/2000 st1:25/200 pred:25/200 int:25/200 branch:25/200 rd:16000 wr:1600"},
+    {"stencil_row", 2048, 0, " rd:0 wr:0"},
+    {"stencil_row", 2048, 1, "fmul:1/1 fma:4/4 ld1:10/10 st1:1/1 pred:1/32 int:1/1 branch:1/1 rd:80 wr:8"},
+    {"stencil_row", 2048, 7, "fmul:1/7 fma:4/28 ld1:10/70 st1:1/7 pred:1/32 int:1/7 branch:1/7 rd:560 wr:56"},
+    {"stencil_row", 2048, 8, "fmul:1/8 fma:4/32 ld1:10/80 st1:1/8 pred:1/32 int:1/8 branch:1/8 rd:640 wr:64"},
+    {"stencil_row", 2048, 9, "fmul:1/9 fma:4/36 ld1:10/90 st1:1/9 pred:1/32 int:1/9 branch:1/9 rd:720 wr:72"},
+    {"stencil_row", 2048, 200, "fmul:7/200 fma:28/800 ld1:70/2000 st1:7/200 pred:7/224 int:7/200 branch:7/200 rd:16000 wr:1600"},
+    {"coupling_row", 128, 0, " rd:0 wr:0"},
+    {"coupling_row", 128, 1, "fma:1/1 ld1:3/3 st1:1/1 pred:1/2 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"coupling_row", 128, 7, "fma:4/7 ld1:12/21 st1:4/7 pred:4/8 int:4/7 branch:4/7 rd:168 wr:56"},
+    {"coupling_row", 128, 8, "fma:4/8 ld1:12/24 st1:4/8 pred:4/8 int:4/8 branch:4/8 rd:192 wr:64"},
+    {"coupling_row", 128, 9, "fma:5/9 ld1:15/27 st1:5/9 pred:5/10 int:5/9 branch:5/9 rd:216 wr:72"},
+    {"coupling_row", 128, 200, "fma:100/200 ld1:300/600 st1:100/200 pred:100/200 int:100/200 branch:100/200 rd:4800 wr:1600"},
+    {"coupling_row", 512, 0, " rd:0 wr:0"},
+    {"coupling_row", 512, 1, "fma:1/1 ld1:3/3 st1:1/1 pred:1/8 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"coupling_row", 512, 7, "fma:1/7 ld1:3/21 st1:1/7 pred:1/8 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"coupling_row", 512, 8, "fma:1/8 ld1:3/24 st1:1/8 pred:1/8 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"coupling_row", 512, 9, "fma:2/9 ld1:6/27 st1:2/9 pred:2/16 int:2/9 branch:2/9 rd:216 wr:72"},
+    {"coupling_row", 512, 200, "fma:25/200 ld1:75/600 st1:25/200 pred:25/200 int:25/200 branch:25/200 rd:4800 wr:1600"},
+    {"coupling_row", 2048, 0, " rd:0 wr:0"},
+    {"coupling_row", 2048, 1, "fma:1/1 ld1:3/3 st1:1/1 pred:1/32 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"coupling_row", 2048, 7, "fma:1/7 ld1:3/21 st1:1/7 pred:1/32 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"coupling_row", 2048, 8, "fma:1/8 ld1:3/24 st1:1/8 pred:1/32 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"coupling_row", 2048, 9, "fma:1/9 ld1:3/27 st1:1/9 pred:1/32 int:1/9 branch:1/9 rd:216 wr:72"},
+    {"coupling_row", 2048, 200, "fma:7/200 ld1:21/600 st1:7/200 pred:7/224 int:7/200 branch:7/200 rd:4800 wr:1600"},
+    {"diag_correct_row", 128, 0, "sel:1/1 rd:0 wr:0"},
+    {"diag_correct_row", 128, 1, "fmul:1/1 fma:1/1 ld1:3/3 st1:1/1 sel:1/1 pred:1/2 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"diag_correct_row", 128, 7, "fmul:4/7 fma:4/7 ld1:12/21 st1:4/7 sel:1/1 pred:4/8 int:4/7 branch:4/7 rd:168 wr:56"},
+    {"diag_correct_row", 128, 8, "fmul:4/8 fma:4/8 ld1:12/24 st1:4/8 sel:1/1 pred:4/8 int:4/8 branch:4/8 rd:192 wr:64"},
+    {"diag_correct_row", 128, 9, "fmul:5/9 fma:5/9 ld1:15/27 st1:5/9 sel:1/1 pred:5/10 int:5/9 branch:5/9 rd:216 wr:72"},
+    {"diag_correct_row", 128, 200, "fmul:100/200 fma:100/200 ld1:300/600 st1:100/200 sel:1/1 pred:100/200 int:100/200 branch:100/200 rd:4800 wr:1600"},
+    {"diag_correct_row", 512, 0, "sel:1/1 rd:0 wr:0"},
+    {"diag_correct_row", 512, 1, "fmul:1/1 fma:1/1 ld1:3/3 st1:1/1 sel:1/1 pred:1/8 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"diag_correct_row", 512, 7, "fmul:1/7 fma:1/7 ld1:3/21 st1:1/7 sel:1/1 pred:1/8 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"diag_correct_row", 512, 8, "fmul:1/8 fma:1/8 ld1:3/24 st1:1/8 sel:1/1 pred:1/8 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"diag_correct_row", 512, 9, "fmul:2/9 fma:2/9 ld1:6/27 st1:2/9 sel:1/1 pred:2/16 int:2/9 branch:2/9 rd:216 wr:72"},
+    {"diag_correct_row", 512, 200, "fmul:25/200 fma:25/200 ld1:75/600 st1:25/200 sel:1/1 pred:25/200 int:25/200 branch:25/200 rd:4800 wr:1600"},
+    {"diag_correct_row", 2048, 0, "sel:1/1 rd:0 wr:0"},
+    {"diag_correct_row", 2048, 1, "fmul:1/1 fma:1/1 ld1:3/3 st1:1/1 sel:1/1 pred:1/32 int:1/1 branch:1/1 rd:24 wr:8"},
+    {"diag_correct_row", 2048, 7, "fmul:1/7 fma:1/7 ld1:3/21 st1:1/7 sel:1/1 pred:1/32 int:1/7 branch:1/7 rd:168 wr:56"},
+    {"diag_correct_row", 2048, 8, "fmul:1/8 fma:1/8 ld1:3/24 st1:1/8 sel:1/1 pred:1/32 int:1/8 branch:1/8 rd:192 wr:64"},
+    {"diag_correct_row", 2048, 9, "fmul:1/9 fma:1/9 ld1:3/27 st1:1/9 sel:1/1 pred:1/32 int:1/9 branch:1/9 rd:216 wr:72"},
+    {"diag_correct_row", 2048, 200, "fmul:7/200 fma:7/200 ld1:21/600 st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:4800 wr:1600"},
+    {"diag_scale_row", 128, 0, "sel:1/1 rd:0 wr:0"},
+    {"diag_scale_row", 128, 1, "fmul:2/2 ld1:2/2 st1:1/1 sel:1/1 pred:1/2 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"diag_scale_row", 128, 7, "fmul:8/14 ld1:8/14 st1:4/7 sel:1/1 pred:4/8 int:4/7 branch:4/7 rd:112 wr:56"},
+    {"diag_scale_row", 128, 8, "fmul:8/16 ld1:8/16 st1:4/8 sel:1/1 pred:4/8 int:4/8 branch:4/8 rd:128 wr:64"},
+    {"diag_scale_row", 128, 9, "fmul:10/18 ld1:10/18 st1:5/9 sel:1/1 pred:5/10 int:5/9 branch:5/9 rd:144 wr:72"},
+    {"diag_scale_row", 128, 200, "fmul:200/400 ld1:200/400 st1:100/200 sel:1/1 pred:100/200 int:100/200 branch:100/200 rd:3200 wr:1600"},
+    {"diag_scale_row", 512, 0, "sel:1/1 rd:0 wr:0"},
+    {"diag_scale_row", 512, 1, "fmul:2/2 ld1:2/2 st1:1/1 sel:1/1 pred:1/8 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"diag_scale_row", 512, 7, "fmul:2/14 ld1:2/14 st1:1/7 sel:1/1 pred:1/8 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"diag_scale_row", 512, 8, "fmul:2/16 ld1:2/16 st1:1/8 sel:1/1 pred:1/8 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"diag_scale_row", 512, 9, "fmul:4/18 ld1:4/18 st1:2/9 sel:1/1 pred:2/16 int:2/9 branch:2/9 rd:144 wr:72"},
+    {"diag_scale_row", 512, 200, "fmul:50/400 ld1:50/400 st1:25/200 sel:1/1 pred:25/200 int:25/200 branch:25/200 rd:3200 wr:1600"},
+    {"diag_scale_row", 2048, 0, "sel:1/1 rd:0 wr:0"},
+    {"diag_scale_row", 2048, 1, "fmul:2/2 ld1:2/2 st1:1/1 sel:1/1 pred:1/32 int:1/1 branch:1/1 rd:16 wr:8"},
+    {"diag_scale_row", 2048, 7, "fmul:2/14 ld1:2/14 st1:1/7 sel:1/1 pred:1/32 int:1/7 branch:1/7 rd:112 wr:56"},
+    {"diag_scale_row", 2048, 8, "fmul:2/16 ld1:2/16 st1:1/8 sel:1/1 pred:1/32 int:1/8 branch:1/8 rd:128 wr:64"},
+    {"diag_scale_row", 2048, 9, "fmul:2/18 ld1:2/18 st1:1/9 sel:1/1 pred:1/32 int:1/9 branch:1/9 rd:144 wr:72"},
+    {"diag_scale_row", 2048, 200, "fmul:14/400 ld1:14/400 st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
+};
+
 /// One rank's simulated clock and an FNV-1a digest of its full cost ledger
 /// (see ledger_digest).
 struct GoldenRank {
@@ -437,6 +680,54 @@ TEST(PlannedComposites, CountsMatchGoldenAcrossVlAndTails) {
       }
       EXPECT_EQ(format_counts(ctx.take_counts()), g.counts)
           << name << " vl=" << g.vl_bits << " n=" << g.n
+          << (mode == VlaExecMode::Native ? " native" : " interpret");
+    }
+  }
+}
+
+/// Every primitive records exactly what its hand-written closed-form formula
+/// did, in both exec modes, at every VL and tail shape pinned.
+TEST(PrimitiveChains, CountsMatchGoldenAcrossVlAndTails) {
+  for (const GoldenCounts& g : kPrimitiveGoldenCounts) {
+    for (const auto mode : {VlaExecMode::Interpret, VlaExecMode::Native}) {
+      Context ctx(VectorArch(g.vl_bits), mode);
+      Rng rng(5);
+      const std::size_t n = g.n;
+      std::vector<double> a(n), b(n), c(n), d(n), e(n), f(n), h(n), y(n);
+      for (auto* v : {&a, &b, &c, &d, &e, &f, &h, &y})
+        for (auto& x : *v) x = rng.uniform(-1.0, 1.0);
+      std::vector<double> xc(n + 2, 0.5);
+      const std::string name = g.composite;
+      if (name == "daxpy") {
+        daxpy(ctx, 0.3, a, b);
+      } else if (name == "dscal") {
+        dscal(ctx, 0.3, 0.7, a);
+      } else if (name == "ddaxpy") {
+        ddaxpy(ctx, 0.3, a, 0.7, b, c);
+      } else if (name == "xpby") {
+        xpby(ctx, a, 0.3, b);
+      } else if (name == "copy") {
+        copy(ctx, a, b);
+      } else if (name == "fill") {
+        fill(ctx, 0.3, a);
+      } else if (name == "sub") {
+        sub(ctx, a, b, c);
+      } else if (name == "hadamard") {
+        hadamard(ctx, a, b, c);
+      } else if (name == "dprod") {
+        (void)dprod(ctx, a, b);
+      } else if (name == "stencil_row") {
+        stencil_row(ctx, a, b, c, d, e, xc.data() + 1, f.data(), h.data(), y);
+      } else if (name == "coupling_row") {
+        coupling_row(ctx, a, b.data(), c);
+      } else if (name == "diag_correct_row") {
+        mg::diag_correct_row(ctx, 0.3, a, b, c);
+      } else {
+        ASSERT_EQ(name, "diag_scale_row");
+        mg::diag_scale_row(ctx, 0.3, a, b, c);
+      }
+      EXPECT_EQ(format_counts(ctx.take_counts()), g.counts)
+          << name << " vl=" << g.vl_bits << " n=" << n
           << (mode == VlaExecMode::Native ? " native" : " interpret");
     }
   }
