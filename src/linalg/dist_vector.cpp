@@ -253,16 +253,13 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
     require_same_shape(*pr.x, *pr.y);
     require_same_shape(*pr.x, first);
   }
-  // Compensated lane accumulation (support/dd.hpp) fixes the arithmetic
-  // of the result; the VLA recording below still prices the ordinary
-  // strip-mined DPROD the hardware would run.  The compensated sum is the
-  // result in both exec modes, so on the fast path the interpreted DPROD
-  // is skipped entirely and only its analytic recording is kept —
-  // execution and recording fully decoupled.  Ranks accumulate into
-  // private lane sets collapsed in rank order afterwards, so the result is
-  // also independent of the host-thread count.
+  // Each row is one DPROD into the pair's compensated lane set
+  // (support/dd.hpp), which fixes the arithmetic of the result in both
+  // exec modes; the recording is the ordinary strip-mined DPROD the
+  // hardware would run.  Ranks accumulate into private lane sets collapsed
+  // in rank order afterwards, so the result is also independent of the
+  // host-thread count.
   for (const DotPair& pr : pairs) dag_op(ctx, "dot", first, {pr.x, pr.y}, {});
-  const bool fast = ctx.vctx.native();
   const int nranks = first.nranks();
   const std::size_t npairs = pairs.size();
   // One flat buffer: rank r's lane set for pair k is partial[r·npairs + k].
@@ -278,15 +275,8 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
         grid::TileView yv =
             const_cast<DistVector*>(pairs[k].y)->field().view(r, s);
         for (int lj = 0; lj < e.nj; ++lj) {
-          if (fast) {
-            linalg::dprod_record_only(rctx.vctx,
-                                      static_cast<std::uint64_t>(e.ni));
-          } else {
-            (void)linalg::dprod(rctx.vctx,
-                                std::span<const double>(xv.row(lj), n),
-                                std::span<const double>(yv.row(lj), n));
-          }
-          acc[k].dot_row(xv.row(lj), yv.row(lj), n);
+          linalg::dprod(rctx.vctx, std::span<const double>(xv.row(lj), n),
+                        std::span<const double>(yv.row(lj), n), acc[k]);
         }
       }
     }

@@ -1,55 +1,26 @@
 #pragma once
 /// \file fused_exec.hpp
-/// \brief Execute FusionPlans in all three execution representations.
+/// \brief The planner-generated fused composites.
 ///
-/// A planned group runs as:
-///   - Interpret: a generic multi-op sweep that walks the GroupProgram's
-///     steps per strip through vla::Context ops (recording op-by-op exactly
-///     as the vla::Context ops of an unfused kernel would);
-///   - Native: a stamped-out template from a fixed set keyed by the
-///     fused-op signature (GroupProgram::sig), with the recording composed
-///     analytically by group_counts and memoized in the Context's count
-///     cache under a signature-disjoint key space;
-///   - both paths produce bit-identical results: elementwise steps evaluate
-///     the same per-element expressions in the same association order, and
-///     fused dots accumulate through the caller's DdLanes by the lane rule
-///     of support/dd.hpp, as a tail over the row after the sweep (rank
-///     partials stay rank-ordered at the call sites).
-///
-/// The convenience entry points below are the planner-generated composites:
-/// each plans its built-in chain at compile time and binds the operands.
-/// They are the only implementation of the fused kernels; the FuseMode::On
-/// call sites (DistVector, StencilOperator, the diagonal preconditioners)
-/// call them directly.
+/// Each composite is one built-in chain (ir.hpp) run through run_chain
+/// (chain_exec.hpp), the same machinery as every primitive kernel: an
+/// interpreter sweep, a compile-time-stamped native loop and composed
+/// closed-form counts, all from the one plan.  They are the only
+/// implementation of the fused kernels; the FuseMode::On call sites
+/// (DistVector, StencilOperator, the diagonal preconditioners) call them
+/// directly.
 
 #include <span>
 #include <string>
 
-#include "linalg/fusion/planner.hpp"
 #include "support/dd.hpp"
 #include "vla/vla.hpp"
 
 namespace v2d::linalg::fusion {
 
-/// Operand binding for one plan execution: slot index → base pointer,
-/// scalar index → value, accumulator index → caller's compensated dot.
-/// Temporary slots need no binding (they live in registers).
-struct Bind {
-  double* slot[kMaxSlots] = {};
-  double scal[kMaxScalars] = {};
-  DdLanes* acc[kMaxAccs] = {};
-  std::size_t n = 0;
-};
-
-/// The generic interpreter sweep for one group (also the reference backend
-/// the stamps are differentially tested against).
-void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& bind);
-
-/// True when the fixed template set contains a native stamp for `sig`.
-bool has_native_stamp(std::uint64_t sig);
-
-/// Deterministic dump of every built-in chain, its plan, and its native
-/// stamp ids (the `--dump-fusion-plan` payload).
+/// Deterministic dump of every built-in chain (composites, then
+/// primitives), its plan, and its native stamp ids (the
+/// `--dump-fusion-plan` payload).
 std::string describe_builtin_plans();
 
 // --- planner-generated composites -------------------------------------------

@@ -25,10 +25,18 @@
 ///                                             compensated DdLanes by
 ///                                             the lane rule)
 ///
+/// Any source operand may name a scalar instead of a slot (sref(k): scalar
+/// k broadcast across the vector).  That one rule gives FILL its broadcast
+/// (Copy from a scalar), DSCAL its c addend and the MG scaled-diagonal row
+/// its ω factor.
+///
 /// The chain lists which slots are live-out (must reach memory).  Writes to
 /// other slots are temporaries the planner keeps in registers.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 
 #include "support/error.hpp"
 
@@ -40,6 +48,15 @@ inline constexpr std::size_t kMaxSlots = 16;
 inline constexpr std::size_t kMaxScalars = 4;
 inline constexpr std::size_t kMaxAccs = 2;
 inline constexpr std::size_t kNameLen = 24;
+
+/// Source-operand tag: sref(k) names scalar k, not a slot.
+inline constexpr std::uint8_t kScalarOperand = 0x80;
+
+constexpr std::uint8_t sref(std::uint8_t k) { return kScalarOperand | k; }
+
+constexpr bool is_sref(std::uint8_t operand) {
+  return operand != kNone && (operand & kScalarOperand) != 0;
+}
 
 enum class Prim : std::uint8_t {
   Axpy,
@@ -102,6 +119,25 @@ constexpr void set_name(Chain& c, const char* name) {
 constexpr void push(Chain& c, PrimNode n) {
   if (c.nnodes >= kMaxNodes) plan_fail("chain node overflow");
   c.node[c.nnodes++] = n;
+}
+
+/// A chain in one expression: operand counts, live-out slots, then the
+/// nodes in program order.
+constexpr Chain chain(const char* name, std::uint8_t nslots,
+                      std::uint8_t nscal, std::uint8_t naccs,
+                      std::initializer_list<std::uint8_t> live_out,
+                      std::initializer_list<PrimNode> nodes) {
+  Chain c{};
+  set_name(c, name);
+  c.nslots = nslots;
+  c.nscal = nscal;
+  c.naccs = naccs;
+  for (const std::uint8_t s : live_out) {
+    if (s >= kMaxSlots) plan_fail("live-out slot out of range");
+    c.live_out[s] = true;
+  }
+  for (const PrimNode& n : nodes) push(c, n);
+  return c;
 }
 
 }  // namespace detail
@@ -213,5 +249,156 @@ constexpr Chain make_stencil_chain(bool coupled, bool bsub, bool self_w) {
   }
   return c;
 }
+
+// --- built-in primitive chains (one kernel each) -----------------------------
+//
+// Slots follow the kernel's parameter order; a trailing temp slot lives in
+// registers only.
+
+/// DAXPY: y ← x·s0 + y (slots x=0 y=1).
+constexpr Chain make_daxpy_chain() {
+  return detail::chain("daxpy", 2, 1, 0, {1},
+                       {{Prim::Axpy, 1, 0, 1, kNone, 0, kNone}});
+}
+
+/// DSCAL: y ← y·s0 + s1 with s0 = −d, s1 = c (slot y=0).
+constexpr Chain make_dscal_chain() {
+  return detail::chain("dscal", 1, 2, 0, {0},
+                       {{Prim::Axpy, 0, 0, sref(1), kNone, 0, kNone}});
+}
+
+/// DDAXPY: z ← y·s1 + (x·s0 + z) (slots x=0 y=1 z=2, temp t=3).
+constexpr Chain make_ddaxpy_chain() {
+  return detail::chain("ddaxpy", 4, 2, 0, {2},
+                       {{Prim::Axpy, 3, 0, 2, kNone, 0, kNone},
+                        {Prim::Axpy, 2, 1, 3, kNone, 1, kNone}});
+}
+
+/// XPBY: y ← y·s0 + x (slots x=0 y=1).
+constexpr Chain make_xpby_chain() {
+  return detail::chain("xpby", 2, 1, 0, {1},
+                       {{Prim::Axpy, 1, 1, 0, kNone, 0, kNone}});
+}
+
+/// COPY: y ← x (slots x=0 y=1).
+constexpr Chain make_copy_chain() {
+  return detail::chain("copy", 2, 0, 0, {1},
+                       {{Prim::Copy, 1, 0, kNone, kNone, kNone, kNone}});
+}
+
+/// FILL: y ← s0 broadcast (slot y=0).
+constexpr Chain make_fill_chain() {
+  return detail::chain("fill", 1, 1, 0, {0},
+                       {{Prim::Copy, 0, sref(0), kNone, kNone, kNone, kNone}});
+}
+
+/// SUB: z ← x − y (slots x=0 y=1 z=2).
+constexpr Chain make_sub_chain() {
+  return detail::chain("sub", 3, 0, 0, {2},
+                       {{Prim::SubFrom, 2, 0, 1, kNone, kNone, kNone}});
+}
+
+/// HADAMARD: z ← x ⊙ y (slots x=0 y=1 z=2).
+constexpr Chain make_hadamard_chain() {
+  return detail::chain("hadamard", 3, 0, 0, {2},
+                       {{Prim::Mul, 2, 0, 1, kNone, kNone, kNone}});
+}
+
+/// DPROD: acc0 += Σ x·y (slots x=0 y=1, bound apart even when x is y, so
+/// x·x still records two loads).
+constexpr Chain make_dprod_chain() {
+  return detail::chain("dprod", 2, 0, 1, {},
+                       {{Prim::Dot, kNone, 0, 1, kNone, kNone, 0}});
+}
+
+/// MATVEC row: y ← five-point row (slots 0..7 the stencil pack, y=8).
+constexpr Chain make_stencil_row_chain() {
+  return detail::chain("stencil_row", 9, 0, 0, {8},
+                       {{Prim::Stencil, 8, 0, kNone, kNone, kNone, kNone}});
+}
+
+/// Species coupling: y ← csp·xo + y (slots csp=0 xo=1 y=2).
+constexpr Chain make_coupling_row_chain() {
+  return detail::chain("coupling_row", 3, 0, 0, {2},
+                       {{Prim::MulAdd, 2, 0, 1, 2, kNone, kNone}});
+}
+
+/// Weighted-Jacobi correction: x ← s0·(d ⊙ r) + x (slots d=0 r=1 x=2,
+/// temp t=3).
+constexpr Chain make_diag_correct_row_chain() {
+  return detail::chain("diag_correct_row", 4, 1, 0, {2},
+                       {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
+                        {Prim::MulAdd, 2, sref(0), 3, 2, kNone, kNone}});
+}
+
+/// Scaled diagonal: z ← s0·(d ⊙ r) (slots d=0 r=1 z=2, temp t=3).
+constexpr Chain make_diag_scale_row_chain() {
+  return detail::chain("diag_scale_row", 4, 1, 0, {2},
+                       {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
+                        {Prim::Mul, 2, sref(0), 3, kNone, kNone, kNone}});
+}
+
+// --- the built-in list -------------------------------------------------------
+
+/// Every built-in chain, in the one order that stamp ids, count-memo keys
+/// and the `--dump-fusion-plan` payload follow: the solver composites
+/// first, then one chain per primitive kernel.
+enum class Builtin : std::uint8_t {
+  Daxpy2,
+  AxpyOut,
+  PUpdate,
+  HadamardDot2,
+  HadamardUpdateDot2,
+  StencilSub,
+  StencilSubCoupled,
+  StencilDot,
+  StencilDotw,
+  StencilDotCoupled,
+  StencilDotwCoupled,
+  Daxpy,
+  Dscal,
+  Ddaxpy,
+  Xpby,
+  Copy,
+  Fill,
+  Sub,
+  Hadamard,
+  Dprod,
+  StencilRow,
+  CouplingRow,
+  DiagCorrectRow,
+  DiagScaleRow,
+};
+
+inline constexpr Chain kBuiltinChains[] = {
+    make_daxpy2_chain(),
+    make_axpy_out_chain(),
+    make_p_update_chain(),
+    make_hadamard_dot2_chain(),
+    make_hadamard_update_dot2_chain(),
+    make_stencil_chain(false, true, false),
+    make_stencil_chain(true, true, false),
+    make_stencil_chain(false, false, true),
+    make_stencil_chain(false, false, false),
+    make_stencil_chain(true, false, true),
+    make_stencil_chain(true, false, false),
+    make_daxpy_chain(),
+    make_dscal_chain(),
+    make_ddaxpy_chain(),
+    make_xpby_chain(),
+    make_copy_chain(),
+    make_fill_chain(),
+    make_sub_chain(),
+    make_hadamard_chain(),
+    make_dprod_chain(),
+    make_stencil_row_chain(),
+    make_coupling_row_chain(),
+    make_diag_correct_row_chain(),
+    make_diag_scale_row_chain(),
+};
+
+inline constexpr std::size_t kNumBuiltins = std::size(kBuiltinChains);
+static_assert(kNumBuiltins ==
+              static_cast<std::size_t>(Builtin::DiagScaleRow) + 1);
 
 }  // namespace v2d::linalg::fusion

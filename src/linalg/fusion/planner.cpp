@@ -193,6 +193,13 @@ void annotate_dag(vla::KernelDag& dag) {
 
 std::string dump_plan(const Chain& c, const FusionPlan& p) {
   std::ostringstream os;
+  const auto operand = [&os](std::uint8_t x) {
+    if (x == kNone) return;
+    if (is_sref(x))
+      os << " s" << int(x & ~kScalarOperand);
+    else
+      os << " v" << int(x);
+  };
   os << "chain " << c.name << ": nodes=" << int(c.nnodes)
      << " slots=" << int(c.nslots) << " scalars=" << int(c.nscal)
      << " accs=" << int(c.naccs) << "\n";
@@ -202,10 +209,10 @@ std::string dump_plan(const Chain& c, const FusionPlan& p) {
     if (nd.dst != kNone) os << " v" << int(nd.dst);
     if (nd.acc != kNone) os << " a" << int(nd.acc);
     os << " <-";
-    if (nd.src0 != kNone) os << " v" << int(nd.src0);
+    operand(nd.src0);
     if (nd.scal != kNone) os << " s" << int(nd.scal);
-    if (nd.src1 != kNone) os << " v" << int(nd.src1);
-    if (nd.src2 != kNone) os << " v" << int(nd.src2);
+    operand(nd.src1);
+    operand(nd.src2);
     os << "\n";
   }
   os << "plan " << p.name << ": groups=" << int(p.ngroups) << "\n";

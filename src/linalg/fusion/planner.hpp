@@ -168,20 +168,22 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
     if (g.nregs >= kMaxRegs) plan_fail("fused group exceeds register budget");
     return g.nregs++;
   };
-  const auto fetch = [&](std::uint8_t slot) -> std::uint8_t {
-    if (slot >= c.nslots) plan_fail("operand slot out of range");
-    if (slot_reg[slot] != kNone) return slot_reg[slot];
-    const std::uint8_t r = fresh();
-    emit({StepKind::Load, r, slot, 0, 0});
-    slot_reg[slot] = r;
-    return r;
-  };
   const auto scalar = [&](std::uint8_t sidx) -> std::uint8_t {
     if (sidx >= c.nscal) plan_fail("scalar index out of range");
     if (scal_reg[sidx] != kNone) return scal_reg[sidx];
     const std::uint8_t r = fresh();
     pre_scal[npre_scal++] = {StepKind::DupScal, r, sidx, 0, 0};
     scal_reg[sidx] = r;
+    return r;
+  };
+  const auto fetch = [&](std::uint8_t operand) -> std::uint8_t {
+    if (is_sref(operand))
+      return scalar(static_cast<std::uint8_t>(operand & ~kScalarOperand));
+    if (operand >= c.nslots) plan_fail("operand slot out of range");
+    if (slot_reg[operand] != kNone) return slot_reg[operand];
+    const std::uint8_t r = fresh();
+    emit({StepKind::Load, r, operand, 0, 0});
+    slot_reg[operand] = r;
     return r;
   };
   const auto write = [&](std::uint8_t slot, std::uint8_t r) {
@@ -250,6 +252,8 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
       case Prim::Dot: {
         // The compensated tail reads the operands' memory images after the
         // sweep, so both must be pure inputs or live-out stores.
+        if (nd.src0 >= c.nslots || nd.src1 >= c.nslots)
+          plan_fail("reduction operand is not a slot");
         if (written[nd.src0] && !c.live_out[nd.src0])
           plan_fail("reduction reads an unstored temporary");
         if (written[nd.src1] && !c.live_out[nd.src1])
@@ -301,7 +305,7 @@ constexpr FusionPlan plan_chain(const Chain& c) {
       const PrimNode& nd = c.node[k];
       const std::uint8_t reads[3] = {nd.src0, nd.src1, nd.src2};
       for (const std::uint8_t s : reads) {
-        if (s == kNone) continue;
+        if (s == kNone || is_sref(s)) continue;
         if (writer_group[s] >= 0 && writer_group[s] < gi && !c.live_out[s])
           plan_fail("temporary value crosses a group boundary");
       }

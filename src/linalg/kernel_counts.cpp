@@ -58,12 +58,6 @@ struct Formula {
 
   /// `k` dup() broadcasts per kernel call (1 instruction, 1 lane each).
   void dups(std::uint64_t k) { op(OpClass::Select, k, k); }
-
-  /// strip_reduce epilogue: one ptrue + one full-width horizontal reduce.
-  void reduce_epilogue() {
-    op(OpClass::Predicate, 1, vl);
-    op(OpClass::Reduce, 1, vl);
-  }
 };
 
 }  // namespace
@@ -71,95 +65,6 @@ struct Formula {
 KernelCounts analytic_counts(KernelShape shape, std::uint64_t n, unsigned vl) {
   Formula f(n, vl);
   switch (shape) {
-    case KernelShape::Dprod:
-      // strip_reduce: dup(0) + per strip {2 ld1, fma_merge} + ptrue/faddv.
-      f.dups(1);
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.reduce_epilogue();
-      break;
-    case KernelShape::Daxpy:
-      f.dups(1);
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.stores(1);
-      break;
-    case KernelShape::Dscal:
-      f.dups(2);
-      f.loop();
-      f.loads(1);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.stores(1);
-      break;
-    case KernelShape::Ddaxpy:
-      f.dups(2);
-      f.loop();
-      f.loads(3);
-      f.per_strip(OpClass::FlopFma, 2);
-      f.stores(1);
-      break;
-    case KernelShape::Xpby:
-      f.dups(1);
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.stores(1);
-      break;
-    case KernelShape::Copy:
-      f.loop();
-      f.loads(1);
-      f.stores(1);
-      break;
-    case KernelShape::Fill:
-      f.dups(1);
-      f.loop();
-      f.stores(1);
-      break;
-    case KernelShape::Sub:
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopAdd, 1);
-      f.stores(1);
-      break;
-    case KernelShape::Hadamard:
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopMul, 1);
-      f.stores(1);
-      break;
-    case KernelShape::StencilRow:
-      // 5 coefficient + 5 solution loads, mul + 4 FMAs, one store.
-      f.loop();
-      f.loads(10);
-      f.per_strip(OpClass::FlopMul, 1);
-      f.per_strip(OpClass::FlopFma, 4);
-      f.stores(1);
-      break;
-    case KernelShape::CouplingRow:
-      f.loop();
-      f.loads(3);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.stores(1);
-      break;
-    case KernelShape::DiagCorrectRow:
-      // dup(ω) + per strip {ld d, ld r, mul, ld x, fma, st}.
-      f.dups(1);
-      f.loop();
-      f.loads(3);
-      f.per_strip(OpClass::FlopMul, 1);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.stores(1);
-      break;
-    case KernelShape::DiagScaleRow:
-      // dup(ω) + per strip {ld d, ld r, mul, mul, st}.
-      f.dups(1);
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopMul, 2);
-      f.stores(1);
-      break;
     case KernelShape::RestrictRow:
       // dup(1/4), dup(3/4) per call; per strip one dup(0) accumulator plus,
       // for each of the 4 fine rows, {4 gathers, mul, 3 fma, dup(w),

@@ -1,12 +1,14 @@
 #pragma once
 /// \file kernel_counts.hpp
-/// \brief Closed-form KernelCounts formulas for the fast execution path.
+/// \brief Closed-form KernelCounts of the two hand-written gather rows.
 ///
 /// In VlaExecMode::Native the kernels do not record op-by-op; the
 /// instruction stream a whilelt strip-mined kernel would issue is a pure
-/// function of (kernel shape, n, VL, tail), so it is computed once from
-/// the formulas here and memoized in the Context's count cache.  The
-/// equivalence suite (tests/test_vla_fastpath.cpp) pins every formula to
+/// function of (kernel shape, n, VL, tail), so it is computed once and
+/// memoized in the Context's count cache.  Every chain-built kernel gets
+/// its formula composed from its plan (fusion::group_counts); only the MG
+/// transfer rows, which gather and so have no chain, are written out here.
+/// The equivalence suite (tests/test_vla_fastpath.cpp) pins both against
 /// the interpreter's recording across the full VL range and all tail
 /// predicates (empty, partial, full).
 
@@ -20,24 +22,8 @@ namespace v2d::linalg {
 /// Kernel shapes with analytic recordings.  Values are stable cache-key
 /// tags (packed with n into the Context memo key).
 enum class KernelShape : std::uint8_t {
-  Dprod,
-  Daxpy,
-  Dscal,
-  Ddaxpy,
-  Xpby,
-  Copy,
-  Fill,
-  Sub,
-  Hadamard,
-  StencilRow,
-  CouplingRow,
-  DiagCorrectRow,
-  DiagScaleRow,
   RestrictRow,
   ProlongRow,
-  // The fused composites are planner-generated: their analytic counts are
-  // composed per fused group by fusion::group_counts and memoized under
-  // signature-disjoint keys (bit 63 set), so they have no shape here.
 };
 
 /// The exact KernelCounts the interpreter backend records for one call of

@@ -1,156 +1,85 @@
 #include "linalg/kernels.hpp"
 
-#include "linalg/kernel_counts.hpp"
-#include "linalg/kernels_native.hpp"
-#include "support/error.hpp"
+#include "linalg/fusion/chain_exec.hpp"
 
 namespace v2d::linalg {
 
+using fusion::bind_slots;
+using fusion::Builtin;
+using fusion::run_chain;
 using vla::Context;
-using vla::Predicate;
-using vla::VReg;
+
+void dprod(Context& ctx, std::span<const double> x, std::span<const double> y,
+           DdLanes& acc) {
+  const std::size_t n = x.size();
+  const auto slot = bind_slots("dprod", n, x, y);
+  DdLanes* const accs[] = {&acc};
+  run_chain<Builtin::Dprod>(ctx, {slot.data(), nullptr, accs, n});
+}
 
 double dprod(Context& ctx, std::span<const double> x,
              std::span<const double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "dprod: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Dprod, x.size());
-    return native::dprod(x.data(), y.data(), x.size(), ctx.lanes());
-  }
-  return vla::strip_reduce(ctx, x.size(),
-                           [&](std::uint64_t i, const Predicate& p, VReg acc) {
-                             const VReg vx = ctx.ld1(p, &x[i]);
-                             const VReg vy = ctx.ld1(p, &y[i]);
-                             // Merging form: a zeroing tail strip would
-                             // clobber the accumulator's inactive lanes.
-                             return ctx.fma_merge(p, vx, vy, acc);
-                           });
-}
-
-void dprod_record_only(Context& ctx, std::uint64_t n) {
-  record_analytic(ctx, KernelShape::Dprod, n);
+  DdLanes acc;
+  dprod(ctx, x, y, acc);
+  return acc.value();
 }
 
 void daxpy(Context& ctx, double a, std::span<const double> x,
            std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "daxpy: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Daxpy, x.size());
-    native::daxpy(a, x.data(), y.data(), x.size());
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vx, va, vy));
-  });
+  const std::size_t n = y.size();
+  const auto slot = bind_slots("daxpy", n, x, y);
+  const double scal[] = {a};
+  run_chain<Builtin::Daxpy>(ctx, {slot.data(), scal, nullptr, n});
 }
 
 void dscal(Context& ctx, double c, double d, std::span<double> y) {
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Dscal, y.size());
-    native::dscal(c, d, y.data(), y.size());
-    return;
-  }
-  const VReg vc = ctx.dup(c);
-  const VReg vd = ctx.dup(-d);
-  vla::strip_mine(ctx, y.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vy, vd, vc));  // c + (−d)·y
-  });
+  const std::size_t n = y.size();
+  const auto slot = bind_slots("dscal", n, y);
+  const double scal[] = {-d, c};  // y·(−d) + c
+  run_chain<Builtin::Dscal>(ctx, {slot.data(), scal, nullptr, n});
 }
 
 void ddaxpy(Context& ctx, double a, std::span<const double> x, double b,
             std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "ddaxpy: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Ddaxpy, x.size());
-    native::ddaxpy(a, x.data(), b, y.data(), z.data(), x.size());
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  const VReg vb = ctx.dup(b);
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    const VReg vz = ctx.ld1(p, &z[i]);
-    const VReg t = ctx.fma(p, vx, va, vz);
-    ctx.st1(p, &z[i], ctx.fma(p, vy, vb, t));
-  });
+  const std::size_t n = z.size();
+  const auto slot = bind_slots("ddaxpy", n, x, y, z, nullptr);
+  const double scal[] = {a, b};
+  run_chain<Builtin::Ddaxpy>(ctx, {slot.data(), scal, nullptr, n});
 }
 
 void xpby(Context& ctx, std::span<const double> x, double b,
           std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "xpby: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Xpby, x.size());
-    native::xpby(x.data(), b, y.data(), x.size());
-    return;
-  }
-  const VReg vb = ctx.dup(b);
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vy, vb, vx));
-  });
+  const std::size_t n = y.size();
+  const auto slot = bind_slots("xpby", n, x, y);
+  const double scal[] = {b};
+  run_chain<Builtin::Xpby>(ctx, {slot.data(), scal, nullptr, n});
 }
 
 void copy(Context& ctx, std::span<const double> x, std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "copy: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Copy, x.size());
-    native::copy(x.data(), y.data(), x.size());
-    return;
-  }
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    ctx.st1(p, &y[i], ctx.ld1(p, &x[i]));
-  });
+  const std::size_t n = y.size();
+  const auto slot = bind_slots("copy", n, x, y);
+  run_chain<Builtin::Copy>(ctx, {slot.data(), nullptr, nullptr, n});
 }
 
 void fill(Context& ctx, double a, std::span<double> y) {
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Fill, y.size());
-    native::fill(a, y.data(), y.size());
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  vla::strip_mine(ctx, y.size(), [&](std::uint64_t i, const Predicate& p) {
-    ctx.st1(p, &y[i], va);
-  });
+  const std::size_t n = y.size();
+  const auto slot = bind_slots("fill", n, y);
+  const double scal[] = {a};
+  run_chain<Builtin::Fill>(ctx, {slot.data(), scal, nullptr, n});
 }
 
 void sub(Context& ctx, std::span<const double> x, std::span<const double> y,
          std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "sub: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Sub, x.size());
-    native::sub(x.data(), y.data(), z.data(), x.size());
-    return;
-  }
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &z[i], ctx.sub(p, vx, vy));
-  });
+  const std::size_t n = z.size();
+  const auto slot = bind_slots("sub", n, x, y, z);
+  run_chain<Builtin::Sub>(ctx, {slot.data(), nullptr, nullptr, n});
 }
 
 void hadamard(Context& ctx, std::span<const double> x,
               std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "hadamard: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Hadamard, x.size());
-    native::hadamard(x.data(), y.data(), z.data(), x.size());
-    return;
-  }
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &z[i], ctx.mul(p, vx, vy));
-  });
+  const std::size_t n = z.size();
+  const auto slot = bind_slots("hadamard", n, x, y, z);
+  run_chain<Builtin::Hadamard>(ctx, {slot.data(), nullptr, nullptr, n});
 }
 
 void stencil_row(Context& ctx, std::span<const double> cc,
@@ -159,48 +88,16 @@ void stencil_row(Context& ctx, std::span<const double> cc,
                  const double* xc, const double* xs, const double* xn,
                  std::span<double> y) {
   const std::size_t n = y.size();
-  V2D_REQUIRE(cc.size() == n && cw.size() == n && ce.size() == n &&
-                  cs.size() == n && cn.size() == n,
-              "stencil_row: coefficient length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::StencilRow, n);
-    native::stencil_row(cc.data(), cw.data(), ce.data(), cs.data(), cn.data(),
-                        xc, xs, xn, y.data(), n);
-    return;
-  }
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg vcc = ctx.ld1(p, &cc[i]);
-    const VReg vxc = ctx.ld1(p, xc + i);
-    VReg acc = ctx.mul(p, vcc, vxc);
-    const VReg vcw = ctx.ld1(p, &cw[i]);
-    const VReg vxw = ctx.ld1(p, xc + i - 1);  // unaligned shifted load
-    acc = ctx.fma(p, vcw, vxw, acc);
-    const VReg vce = ctx.ld1(p, &ce[i]);
-    const VReg vxe = ctx.ld1(p, xc + i + 1);
-    acc = ctx.fma(p, vce, vxe, acc);
-    const VReg vcs = ctx.ld1(p, &cs[i]);
-    const VReg vxs = ctx.ld1(p, xs + i);
-    acc = ctx.fma(p, vcs, vxs, acc);
-    const VReg vcn = ctx.ld1(p, &cn[i]);
-    const VReg vxn = ctx.ld1(p, xn + i);
-    acc = ctx.fma(p, vcn, vxn, acc);
-    ctx.st1(p, &y[i], acc);
-  });
+  const auto slot =
+      bind_slots("stencil_row", n, cc, cw, ce, cs, cn, xc, xs, xn, y);
+  run_chain<Builtin::StencilRow>(ctx, {slot.data(), nullptr, nullptr, n});
 }
 
 void coupling_row(Context& ctx, std::span<const double> csp, const double* xo,
                   std::span<double> y) {
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::CouplingRow, y.size());
-    native::coupling_row(csp.data(), xo, y.data(), y.size());
-    return;
-  }
-  vla::strip_mine(ctx, y.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vc = ctx.ld1(p, &csp[i]);
-    const VReg vx = ctx.ld1(p, xo + i);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vc, vx, vy));
-  });
+  const std::size_t n = y.size();
+  const auto slot = bind_slots("coupling_row", n, csp, xo, y);
+  run_chain<Builtin::CouplingRow>(ctx, {slot.data(), nullptr, nullptr, n});
 }
 
 }  // namespace v2d::linalg

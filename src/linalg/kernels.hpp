@@ -10,27 +10,30 @@
 ///   DDAXPY  — z ← a·x + b·y + z
 /// plus the small helpers the BiCGSTAB restructuring needs (XPBY, COPY).
 ///
-/// Every kernel is written once against the VLA layer in the canonical
-/// whilelt strip-mined form; the vla::Context both computes the result and
-/// records the instruction stream for pricing.  Spans must not alias
-/// except where a parameter is explicitly an in/out vector.
+/// Each kernel is written once, as a built-in planner chain
+/// (fusion/ir.hpp); the three execution representations — the interpreter
+/// sweep that records op-by-op through the vla::Context, the natively
+/// stamped loop and its closed-form recording — are all generated from it
+/// (fusion/chain_exec.hpp).  Every span must hold as many elements as the
+/// output (a mismatch throws v2d::Error).  Spans must not alias except
+/// where a parameter is explicitly an in/out vector.
 
 #include <span>
 
-#include "vla/loops.hpp"
+#include "support/dd.hpp"
 #include "vla/vla.hpp"
 
 namespace v2d::linalg {
 
-/// DPROD: returns Σ x_i · y_i.
+/// DPROD: acc += Σ x_i · y_i, accumulated by the DdLanes lane rule
+/// (support/dd.hpp) in both exec modes; the recording is the strip-mined
+/// DPROD the hardware would run.
+void dprod(vla::Context& ctx, std::span<const double> x,
+           std::span<const double> y, DdLanes& acc);
+
+/// DPROD: returns the compensated Σ x_i · y_i (one fresh DdLanes).
 double dprod(vla::Context& ctx, std::span<const double> x,
              std::span<const double> y);
-
-/// Record the instruction stream of one DPROD(n) call without executing it
-/// (analytic fast path).  Used where the numerical result is produced by a
-/// separate host-side accumulation (DistVector::dot_ganged's compensated
-/// sum) but the priced stream must still be the strip-mined DPROD.
-void dprod_record_only(vla::Context& ctx, std::uint64_t n);
 
 /// DAXPY: y ← a·x + y.
 void daxpy(vla::Context& ctx, double a, std::span<const double> x,

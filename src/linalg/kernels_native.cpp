@@ -1,91 +1,6 @@
 #include "linalg/kernels_native.hpp"
 
-#include "vla/vla.hpp"
-
 namespace v2d::linalg::native {
-
-double dprod(const double* x, const double* y, std::size_t n, unsigned vl) {
-  // Strip-wise accumulation: lane l of the accumulator register sums the
-  // elements with index ≡ l (mod VL), exactly like the interpreter's
-  // fma_merge chain, so the final lane-order reduce rounds identically.
-  double acc[vla::kMaxLanes] = {};
-  std::size_t i = 0;
-  for (; i + vl <= n; i += vl)
-    for (unsigned l = 0; l < vl; ++l) acc[l] = x[i + l] * y[i + l] + acc[l];
-  for (unsigned l = 0; i + l < n; ++l) acc[l] = x[i + l] * y[i + l] + acc[l];
-  double s = 0.0;
-  for (unsigned l = 0; l < vl; ++l) s += acc[l];
-  return s;
-}
-
-void daxpy(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] * a + y[i];
-}
-
-void dscal(double c, double d, double* y, std::size_t n) {
-  const double md = -d;
-  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] * md + c;
-}
-
-void ddaxpy(double a, const double* x, double b, const double* y, double* z,
-            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = x[i] * a + z[i];
-    z[i] = y[i] * b + t;
-  }
-}
-
-void xpby(const double* x, double b, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] * b + x[i];
-}
-
-void copy(const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[i];
-}
-
-void fill(double a, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = a;
-}
-
-void sub(const double* x, const double* y, double* z, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = x[i] - y[i];
-}
-
-void hadamard(const double* x, const double* y, double* z, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = x[i] * y[i];
-}
-
-void stencil_row(const double* cc, const double* cw, const double* ce,
-                 const double* cs, const double* cn, const double* xc,
-                 const double* xs, const double* xn, double* y,
-                 std::size_t n) {
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    double acc = cc[i] * xc[i];
-    acc = cw[i] * xc[i - 1] + acc;
-    acc = ce[i] * xc[i + 1] + acc;
-    acc = cs[i] * xs[i] + acc;
-    acc = cn[i] * xn[i] + acc;
-    y[i] = acc;
-  }
-}
-
-void coupling_row(const double* csp, const double* xo, double* y,
-                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = csp[i] * xo[i] + y[i];
-}
-
-void diag_correct_row(double omega, const double* d, const double* r,
-                      double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = d[i] * r[i];
-    x[i] = omega * t + x[i];
-  }
-}
-
-void diag_scale_row(double omega, const double* d, const double* r, double* z,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = omega * (d[i] * r[i]);
-}
 
 void restrict_row(const double* const fine[4], const std::int64_t* fm1,
                   const std::int64_t* f0, const std::int64_t* f1,

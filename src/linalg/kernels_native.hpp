@@ -1,74 +1,20 @@
 #pragma once
 /// \file kernels_native.hpp
-/// \brief Native raw-pointer fast paths for the Table II kernels.
+/// \brief Native raw-pointer loops of the two multigrid transfer rows.
 ///
-/// These are the VlaExecMode::Native implementations behind the dispatch in
-/// kernels.cpp (and the multigrid row kernels behind mg/smoother.cpp and
-/// mg/transfer.cpp).  Each routine is a plain strided loop written so the
-/// host compiler can auto-vectorize it, and each reproduces the interpreter
-/// backend bit-for-bit:
-///
-///   - elementwise kernels evaluate the same per-element expression in the
-///     same association order the vla::Context ops use;
-///   - reductions keep the interpreter's strip-wise lane accumulators (VL
-///     partial sums, lane l accumulating elements i ≡ l mod VL) and perform
-///     the single final horizontal reduce in lane order.
-///
-/// No vla::Context is touched here — recording for the fast path is
-/// produced analytically by kernel_counts.hpp.
+/// Every other kernel's native loop is stamped from its planner chain
+/// (fusion/chain_exec.hpp).  The transfer rows gather through index
+/// tables, which the chain IR cannot express, so their VlaExecMode::Native
+/// forms are written here by hand, behind the dispatch in mg/mg_kernels.cpp.
+/// Each is a plain loop that evaluates the interpreter's per-element
+/// expression in the same association order, so the two backends are
+/// bit-identical; no vla::Context is touched here, and the recording comes
+/// from the closed-form formulas in kernel_counts.hpp.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace v2d::linalg::native {
-
-/// DPROD with the interpreter's strip-wise accumulation order: `vl` partial
-/// accumulators carried across strips, one horizontal reduce at the end.
-double dprod(const double* x, const double* y, std::size_t n, unsigned vl);
-
-/// y ← a·x + y
-void daxpy(double a, const double* x, double* y, std::size_t n);
-
-/// y ← c − d·y  (computed as c + (−d)·y, matching the interpreter)
-void dscal(double c, double d, double* y, std::size_t n);
-
-/// z ← a·x + b·y + z  (two chained FMAs: t = a·x + z; z = b·y + t)
-void ddaxpy(double a, const double* x, double b, const double* y, double* z,
-            std::size_t n);
-
-/// y ← x + b·y
-void xpby(const double* x, double b, double* y, std::size_t n);
-
-/// y ← x
-void copy(const double* x, double* y, std::size_t n);
-
-/// y ← a
-void fill(double a, double* y, std::size_t n);
-
-/// z ← x − y
-void sub(const double* x, const double* y, double* z, std::size_t n);
-
-/// z ← x ⊙ y
-void hadamard(const double* x, const double* y, double* z, std::size_t n);
-
-/// Five-point stencil row:
-///   y_i ← cc_i·xc_i + cw_i·xc_{i−1} + ce_i·xc_{i+1} + cs_i·xs_i + cn_i·xn_i
-/// accumulated in exactly that order.
-void stencil_row(const double* cc, const double* cw, const double* ce,
-                 const double* cs, const double* cn, const double* xc,
-                 const double* xs, const double* xn, double* y, std::size_t n);
-
-/// y ← y + csp ⊙ xo
-void coupling_row(const double* csp, const double* xo, double* y,
-                  std::size_t n);
-
-/// x ← x + ω·(d ⊙ r)   (weighted-Jacobi correction row)
-void diag_correct_row(double omega, const double* d, const double* r,
-                      double* x, std::size_t n);
-
-/// z ← ω·(d ⊙ r)   (scaled diagonal application row)
-void diag_scale_row(double omega, const double* d, const double* r, double* z,
-                    std::size_t n);
 
 /// One coarse row of full-weighting restriction.  `fine[dj]` are the four
 /// fine rows 2·cj−1 … 2·cj+2 (each with a readable ghost on both sides);
@@ -86,8 +32,5 @@ void restrict_row(const double* const fine[4], const std::int64_t* fm1,
 void prolong_row_add(const double* cnear, const double* cfar,
                      const std::int64_t* near, const std::int64_t* far,
                      double* fine, std::size_t n);
-
-// The fused composites' native kernels are stamped by the fusion planner
-// from its template set (src/linalg/fusion/fused_exec.cpp).
 
 }  // namespace v2d::linalg::native

@@ -1,5 +1,6 @@
 #include "linalg/mg/mg_kernels.hpp"
 
+#include "linalg/fusion/chain_exec.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels_native.hpp"
 #include "vla/loops.hpp"
@@ -12,32 +13,20 @@ using vla::VReg;
 void diag_correct_row(vla::Context& ctx, double omega,
                       std::span<const double> d, std::span<const double> r,
                       std::span<double> x) {
-  const std::uint64_t n = x.size();
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::DiagCorrectRow, n);
-    native::diag_correct_row(omega, d.data(), r.data(), x.data(), n);
-    return;
-  }
-  const VReg w = ctx.dup(omega);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg t = ctx.mul(p, ctx.ld1(p, &d[i]), ctx.ld1(p, &r[i]));
-    ctx.st1(p, &x[i], ctx.fma(p, w, t, ctx.ld1(p, &x[i])));
-  });
+  const std::size_t n = x.size();
+  const auto slot = fusion::bind_slots("diag_correct_row", n, d, r, x, nullptr);
+  const double scal[] = {omega};
+  fusion::run_chain<fusion::Builtin::DiagCorrectRow>(
+      ctx, {slot.data(), scal, nullptr, n});
 }
 
 void diag_scale_row(vla::Context& ctx, double omega, std::span<const double> d,
                     std::span<const double> r, std::span<double> z) {
-  const std::uint64_t n = z.size();
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::DiagScaleRow, n);
-    native::diag_scale_row(omega, d.data(), r.data(), z.data(), n);
-    return;
-  }
-  const VReg w = ctx.dup(omega);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg t = ctx.mul(p, ctx.ld1(p, &d[i]), ctx.ld1(p, &r[i]));
-    ctx.st1(p, &z[i], ctx.mul(p, w, t));
-  });
+  const std::size_t n = z.size();
+  const auto slot = fusion::bind_slots("diag_scale_row", n, d, r, z, nullptr);
+  const double scal[] = {omega};
+  fusion::run_chain<fusion::Builtin::DiagScaleRow>(
+      ctx, {slot.data(), scal, nullptr, n});
 }
 
 void restrict_row(vla::Context& ctx, const double* const fine[4],

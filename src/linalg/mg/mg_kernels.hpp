@@ -1,13 +1,17 @@
 #pragma once
 /// \file mg_kernels.hpp
-/// \brief Row-level multigrid kernels with interpreter and native paths.
+/// \brief Row-level multigrid kernels.
 ///
 /// The smoother's diagonal sweeps and the inter-grid transfer rows are hot
 /// enough inside a V-cycle to need the same dual-mode treatment as the
-/// Table II kernels: in VlaExecMode::Interpret they run as predicated
-/// whilelt strips through the vla::Context; in VlaExecMode::Native they run
-/// as raw-pointer loops (kernels_native.hpp) and their recording comes from
-/// the closed-form formulas in kernel_counts.hpp.
+/// Table II kernels.  The two diagonal rows are built-in planner chains
+/// like every primitive (fusion/chain_exec.hpp generates their interpreter
+/// sweep, native stamp and closed-form counts).  The two transfer rows
+/// gather through index tables, which the chain IR cannot express, so they
+/// keep hand-written forms: a predicated whilelt sweep through the
+/// vla::Context in VlaExecMode::Interpret, and in VlaExecMode::Native a
+/// raw-pointer loop (kernels_native.hpp) whose recording comes from the
+/// closed-form formulas in kernel_counts.hpp.
 
 #include <cstdint>
 #include <span>
@@ -16,12 +20,14 @@
 
 namespace v2d::linalg::mg {
 
-/// x ← x + ω·(d ⊙ r) over one tile row (the weighted-Jacobi correction).
+/// x ← x + ω·(d ⊙ r) over one tile row (the weighted-Jacobi correction);
+/// d and r must hold x.size() elements.
 void diag_correct_row(vla::Context& ctx, double omega,
                       std::span<const double> d, std::span<const double> r,
                       std::span<double> x);
 
-/// z ← ω·(d ⊙ r) over one tile row (scaled diagonal application).
+/// z ← ω·(d ⊙ r) over one tile row (scaled diagonal application); d and r
+/// must hold z.size() elements.
 void diag_scale_row(vla::Context& ctx, double omega, std::span<const double> d,
                     std::span<const double> r, std::span<double> z);
 

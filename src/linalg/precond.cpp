@@ -9,6 +9,7 @@
 #include "linalg/mg/mg_precond.hpp"
 #include "support/dd.hpp"
 #include "support/error.hpp"
+#include "vla/loops.hpp"
 
 namespace v2d::linalg {
 

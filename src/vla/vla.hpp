@@ -209,11 +209,13 @@ public:
   ///
   /// The key space is partitioned by producer so a Context shared across
   /// farm jobs running different --fuse modes can never read a count
-  /// cached under another mode's kernel: primitive/bespoke shapes key as
-  /// (KernelShape << 56) | n with bit 63 clear, while planner-generated
-  /// fused groups key as (1 << 63) | (stamp id << 56) | n, where the
-  /// stamp id is assigned from the fused-op signature registry
-  /// (fusion::GroupProgram::sig) in fixed registration order.
+  /// cached under another kernel: the hand-written gather rows key as
+  /// (KernelShape << 56) | n with bit 63 clear, while every planner-built
+  /// group (primitive kernel or fused composite) keys as
+  /// (1 << 63) | (stamp id << 56) | n, where the stamp id numbers the
+  /// distinct group signatures (fusion::GroupProgram::sig) in the fixed
+  /// order of the built-in chain list.  Two groups share a key only when
+  /// their programs, and so their counts, are identical.
   template <typename Factory>
   const sim::KernelCounts& memo_counts(std::uint64_t key, Factory&& make) {
     if (front_ != nullptr && front_key_ == key) {

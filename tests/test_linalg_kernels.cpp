@@ -162,5 +162,18 @@ TEST(Kernels, LengthMismatchRejected) {
   EXPECT_THROW(copy(ctx, a, b), Error);
 }
 
+TEST(Kernels, CouplingRowRejectsShortCoefficients) {
+  // csp is read over y's whole length, in both exec modes.
+  for (const auto mode :
+       {vla::VlaExecMode::Interpret, vla::VlaExecMode::Native}) {
+    Context ctx(VectorArch(512), mode);
+    std::vector<double> csp(4, 1.0), xo(5, 1.0), y(5, 0.0);
+    EXPECT_THROW(coupling_row(ctx, csp, xo.data(), y), Error);
+    csp.push_back(1.0);
+    coupling_row(ctx, csp, xo.data(), y);
+    EXPECT_EQ(y[4], 1.0);
+  }
+}
+
 }  // namespace
 }  // namespace v2d::linalg

@@ -10,6 +10,7 @@
 #include "linalg/banded.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/mg/hierarchy.hpp"
+#include "linalg/mg/mg_kernels.hpp"
 #include "linalg/mg/mg_precond.hpp"
 #include "linalg/mg/transfer.hpp"
 #include "linalg/precond.hpp"
@@ -119,6 +120,23 @@ TEST(BandedLU, RejectsZeroPivot) {
 }
 
 // --- hierarchy ----------------------------------------------------------------
+
+TEST(MgKernels, DiagRowsRejectShortOperands) {
+  // d and r are read over x's (resp. z's) whole length, so each must hold
+  // at least that many elements, in both exec modes.
+  for (const auto mode :
+       {vla::VlaExecMode::Interpret, vla::VlaExecMode::Native}) {
+    vla::Context ctx(vla::VectorArch(512), mode);
+    std::vector<double> ok(8, 1.0), shrt(7, 1.0), x(8, 0.0);
+    EXPECT_THROW(mg::diag_correct_row(ctx, 0.8, shrt, ok, x), Error);
+    EXPECT_THROW(mg::diag_correct_row(ctx, 0.8, ok, shrt, x), Error);
+    EXPECT_THROW(mg::diag_scale_row(ctx, 0.8, shrt, ok, x), Error);
+    EXPECT_THROW(mg::diag_scale_row(ctx, 0.8, ok, shrt, x), Error);
+    mg::diag_correct_row(ctx, 0.8, ok, ok, x);
+    mg::diag_scale_row(ctx, 0.8, ok, ok, x);
+    EXPECT_EQ(x[7], 0.8);
+  }
+}
 
 TEST(MgHierarchy, CoarsensToConfiguredSize) {
   Problem prob(64, 64, 1);
