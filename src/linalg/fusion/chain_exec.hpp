@@ -196,13 +196,13 @@ inline void stamp_exec(const Bind& b) {
   if constexpr (sweep_stores(G)) {
     constexpr std::size_t kSlots = sweep_slots(G);
     constexpr std::size_t kScalars = sweep_scalars(G);
-    double* p[kSlots];
+    double* p[kSlots] = {};
     for (std::size_t s = 0; s < kSlots; ++s) p[s] = b.slot[s];
     double sc[kScalars > 0 ? kScalars : 1] = {};
     for (std::size_t s = 0; s < kScalars; ++s) sc[s] = b.scal[s];
     const auto n = static_cast<std::ptrdiff_t>(b.n);
     for (std::ptrdiff_t i = 0; i < n; ++i) {
-      double r[kMaxRegs];
+      double r[kMaxRegs] = {};
       [&]<std::size_t... Pi>(std::index_sequence<Pi...>) {
         (stamp_pre<G, Pi>(sc, r), ...);
       }(std::make_index_sequence<std::size_t{G.npre}>{});

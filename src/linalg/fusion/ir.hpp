@@ -146,71 +146,43 @@ constexpr Chain chain(const char* name, std::uint8_t nslots,
 
 /// CG twin update: x ← x + s0·p and r ← r + s1·q (slots p=0 x=1 q=2 r=3).
 constexpr Chain make_daxpy2_chain() {
-  Chain c{};
-  detail::set_name(c, "daxpy2");
-  c.nslots = 4;
-  c.nscal = 2;
-  c.live_out[1] = true;
-  c.live_out[3] = true;
-  detail::push(c, {Prim::Axpy, 1, 0, 1, kNone, 0, kNone});
-  detail::push(c, {Prim::Axpy, 3, 2, 3, kNone, 1, kNone});
-  return c;
+  return detail::chain("daxpy2", 4, 2, 0, {1, 3},
+                       {{Prim::Axpy, 1, 0, 1, kNone, 0, kNone},
+                        {Prim::Axpy, 3, 2, 3, kNone, 1, kNone}});
 }
 
 /// Fused COPY+DAXPY: z ← x + s0·y (slots x=0 y=1 z=2; the copy of x into z
 /// is elided into the FMA's addend).
 constexpr Chain make_axpy_out_chain() {
-  Chain c{};
-  detail::set_name(c, "axpy_out");
-  c.nslots = 3;
-  c.nscal = 1;
-  c.live_out[2] = true;
-  detail::push(c, {Prim::Axpy, 2, 1, 0, kNone, 0, kNone});
-  return c;
+  return detail::chain("axpy_out", 3, 1, 0, {2},
+                       {{Prim::Axpy, 2, 1, 0, kNone, 0, kNone}});
 }
 
 /// BiCGSTAB p-update: p ← r + s1·(p + s0·v) with s0 = −ω, s1 = β
 /// (slots r=0 v=1 p=2, temp t=3).
 constexpr Chain make_p_update_chain() {
-  Chain c{};
-  detail::set_name(c, "p_update");
-  c.nslots = 4;
-  c.nscal = 2;
-  c.live_out[2] = true;
-  detail::push(c, {Prim::Axpy, 3, 1, 2, kNone, 0, kNone});
-  detail::push(c, {Prim::Axpy, 2, 3, 0, kNone, 1, kNone});
-  return c;
+  return detail::chain("p_update", 4, 2, 0, {2},
+                       {{Prim::Axpy, 3, 1, 2, kNone, 0, kNone},
+                        {Prim::Axpy, 2, 3, 0, kNone, 1, kNone}});
 }
 
 /// Precond apply + ganged 2-dot: z ← m ⊙ r, acc0 += Σ z·r, acc1 += Σ r·r
 /// (slots m=0 r=1 z=2).
 constexpr Chain make_hadamard_dot2_chain() {
-  Chain c{};
-  detail::set_name(c, "hadamard_dot2");
-  c.nslots = 3;
-  c.naccs = 2;
-  c.live_out[2] = true;
-  detail::push(c, {Prim::Mul, 2, 0, 1, kNone, kNone, kNone});
-  detail::push(c, {Prim::Dot, kNone, 2, 1, kNone, kNone, 0});
-  detail::push(c, {Prim::Dot, kNone, 1, 1, kNone, kNone, 1});
-  return c;
+  return detail::chain("hadamard_dot2", 3, 0, 2, {2},
+                       {{Prim::Mul, 2, 0, 1, kNone, kNone, kNone},
+                        {Prim::Dot, kNone, 2, 1, kNone, kNone, 0},
+                        {Prim::Dot, kNone, 1, 1, kNone, kNone, 1}});
 }
 
 /// CG tail composite: r ← r + s0·q, then the precond+gang sweep over the
 /// updated residual (slots m=0 q=1 r=2 z=3).
 constexpr Chain make_hadamard_update_dot2_chain() {
-  Chain c{};
-  detail::set_name(c, "hadamard_update_dot2");
-  c.nslots = 4;
-  c.nscal = 1;
-  c.naccs = 2;
-  c.live_out[2] = true;
-  c.live_out[3] = true;
-  detail::push(c, {Prim::Axpy, 2, 1, 2, kNone, 0, kNone});
-  detail::push(c, {Prim::Mul, 3, 0, 2, kNone, kNone, kNone});
-  detail::push(c, {Prim::Dot, kNone, 3, 2, kNone, kNone, 0});
-  detail::push(c, {Prim::Dot, kNone, 2, 2, kNone, kNone, 1});
-  return c;
+  return detail::chain("hadamard_update_dot2", 4, 1, 2, {2, 3},
+                       {{Prim::Axpy, 2, 1, 2, kNone, 0, kNone},
+                        {Prim::Mul, 3, 0, 2, kNone, kNone, kNone},
+                        {Prim::Dot, kNone, 3, 2, kNone, kNone, 0},
+                        {Prim::Dot, kNone, 2, 2, kNone, kNone, 1}});
 }
 
 /// Fused stencil-row composites.  Slots 0..7 are the stencil pack
@@ -248,94 +220,6 @@ constexpr Chain make_stencil_chain(bool coupled, bool bsub, bool self_w) {
     detail::push(c, {Prim::Dot, kNone, wslot, y, kNone, kNone, 0});
   }
   return c;
-}
-
-// --- built-in primitive chains (one kernel each) -----------------------------
-//
-// Slots follow the kernel's parameter order; a trailing temp slot lives in
-// registers only.
-
-/// DAXPY: y ← x·s0 + y (slots x=0 y=1).
-constexpr Chain make_daxpy_chain() {
-  return detail::chain("daxpy", 2, 1, 0, {1},
-                       {{Prim::Axpy, 1, 0, 1, kNone, 0, kNone}});
-}
-
-/// DSCAL: y ← y·s0 + s1 with s0 = −d, s1 = c (slot y=0).
-constexpr Chain make_dscal_chain() {
-  return detail::chain("dscal", 1, 2, 0, {0},
-                       {{Prim::Axpy, 0, 0, sref(1), kNone, 0, kNone}});
-}
-
-/// DDAXPY: z ← y·s1 + (x·s0 + z) (slots x=0 y=1 z=2, temp t=3).
-constexpr Chain make_ddaxpy_chain() {
-  return detail::chain("ddaxpy", 4, 2, 0, {2},
-                       {{Prim::Axpy, 3, 0, 2, kNone, 0, kNone},
-                        {Prim::Axpy, 2, 1, 3, kNone, 1, kNone}});
-}
-
-/// XPBY: y ← y·s0 + x (slots x=0 y=1).
-constexpr Chain make_xpby_chain() {
-  return detail::chain("xpby", 2, 1, 0, {1},
-                       {{Prim::Axpy, 1, 1, 0, kNone, 0, kNone}});
-}
-
-/// COPY: y ← x (slots x=0 y=1).
-constexpr Chain make_copy_chain() {
-  return detail::chain("copy", 2, 0, 0, {1},
-                       {{Prim::Copy, 1, 0, kNone, kNone, kNone, kNone}});
-}
-
-/// FILL: y ← s0 broadcast (slot y=0).
-constexpr Chain make_fill_chain() {
-  return detail::chain("fill", 1, 1, 0, {0},
-                       {{Prim::Copy, 0, sref(0), kNone, kNone, kNone, kNone}});
-}
-
-/// SUB: z ← x − y (slots x=0 y=1 z=2).
-constexpr Chain make_sub_chain() {
-  return detail::chain("sub", 3, 0, 0, {2},
-                       {{Prim::SubFrom, 2, 0, 1, kNone, kNone, kNone}});
-}
-
-/// HADAMARD: z ← x ⊙ y (slots x=0 y=1 z=2).
-constexpr Chain make_hadamard_chain() {
-  return detail::chain("hadamard", 3, 0, 0, {2},
-                       {{Prim::Mul, 2, 0, 1, kNone, kNone, kNone}});
-}
-
-/// DPROD: acc0 += Σ x·y (slots x=0 y=1, bound apart even when x is y, so
-/// x·x still records two loads).
-constexpr Chain make_dprod_chain() {
-  return detail::chain("dprod", 2, 0, 1, {},
-                       {{Prim::Dot, kNone, 0, 1, kNone, kNone, 0}});
-}
-
-/// MATVEC row: y ← five-point row (slots 0..7 the stencil pack, y=8).
-constexpr Chain make_stencil_row_chain() {
-  return detail::chain("stencil_row", 9, 0, 0, {8},
-                       {{Prim::Stencil, 8, 0, kNone, kNone, kNone, kNone}});
-}
-
-/// Species coupling: y ← csp·xo + y (slots csp=0 xo=1 y=2).
-constexpr Chain make_coupling_row_chain() {
-  return detail::chain("coupling_row", 3, 0, 0, {2},
-                       {{Prim::MulAdd, 2, 0, 1, 2, kNone, kNone}});
-}
-
-/// Weighted-Jacobi correction: x ← s0·(d ⊙ r) + x (slots d=0 r=1 x=2,
-/// temp t=3).
-constexpr Chain make_diag_correct_row_chain() {
-  return detail::chain("diag_correct_row", 4, 1, 0, {2},
-                       {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
-                        {Prim::MulAdd, 2, sref(0), 3, 2, kNone, kNone}});
-}
-
-/// Scaled diagonal: z ← s0·(d ⊙ r) (slots d=0 r=1 z=2, temp t=3).
-constexpr Chain make_diag_scale_row_chain() {
-  return detail::chain("diag_scale_row", 4, 1, 0, {2},
-                       {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
-                        {Prim::Mul, 2, sref(0), 3, kNone, kNone, kNone}});
 }
 
 // --- the built-in list -------------------------------------------------------
@@ -382,19 +266,51 @@ inline constexpr Chain kBuiltinChains[] = {
     make_stencil_chain(false, false, false),
     make_stencil_chain(true, false, true),
     make_stencil_chain(true, false, false),
-    make_daxpy_chain(),
-    make_dscal_chain(),
-    make_ddaxpy_chain(),
-    make_xpby_chain(),
-    make_copy_chain(),
-    make_fill_chain(),
-    make_sub_chain(),
-    make_hadamard_chain(),
-    make_dprod_chain(),
-    make_stencil_row_chain(),
-    make_coupling_row_chain(),
-    make_diag_correct_row_chain(),
-    make_diag_scale_row_chain(),
+    // The primitive kernels.  Slots follow the kernel's parameter order; a
+    // trailing temp slot t lives in registers only.
+    //   DAXPY  y ← x·s0 + y                      (x=0 y=1)
+    detail::chain("daxpy", 2, 1, 0, {1},
+                  {{Prim::Axpy, 1, 0, 1, kNone, 0, kNone}}),
+    //   DSCAL  y ← y·s0 + s1, s0 = −d, s1 = c    (y=0)
+    detail::chain("dscal", 1, 2, 0, {0},
+                  {{Prim::Axpy, 0, 0, sref(1), kNone, 0, kNone}}),
+    //   DDAXPY z ← y·s1 + (x·s0 + z)             (x=0 y=1 z=2 t=3)
+    detail::chain("ddaxpy", 4, 2, 0, {2},
+                  {{Prim::Axpy, 3, 0, 2, kNone, 0, kNone},
+                   {Prim::Axpy, 2, 1, 3, kNone, 1, kNone}}),
+    //   XPBY   y ← y·s0 + x                      (x=0 y=1)
+    detail::chain("xpby", 2, 1, 0, {1},
+                  {{Prim::Axpy, 1, 1, 0, kNone, 0, kNone}}),
+    //   COPY   y ← x                             (x=0 y=1)
+    detail::chain("copy", 2, 0, 0, {1},
+                  {{Prim::Copy, 1, 0, kNone, kNone, kNone, kNone}}),
+    //   FILL   y ← s0 broadcast                  (y=0)
+    detail::chain("fill", 1, 1, 0, {0},
+                  {{Prim::Copy, 0, sref(0), kNone, kNone, kNone, kNone}}),
+    //   SUB    z ← x − y                         (x=0 y=1 z=2)
+    detail::chain("sub", 3, 0, 0, {2},
+                  {{Prim::SubFrom, 2, 0, 1, kNone, kNone, kNone}}),
+    //   HADAMARD z ← x ⊙ y                       (x=0 y=1 z=2)
+    detail::chain("hadamard", 3, 0, 0, {2},
+                  {{Prim::Mul, 2, 0, 1, kNone, kNone, kNone}}),
+    //   DPROD  acc0 += Σ x·y                     (x=0 y=1, bound apart even
+    //          when x is y, so x·x still records two loads)
+    detail::chain("dprod", 2, 0, 1, {},
+                  {{Prim::Dot, kNone, 0, 1, kNone, kNone, 0}}),
+    //   MATVEC row y ← five-point row            (stencil pack 0..7, y=8)
+    detail::chain("stencil_row", 9, 0, 0, {8},
+                  {{Prim::Stencil, 8, 0, kNone, kNone, kNone, kNone}}),
+    //   species coupling y ← csp·xo + y          (csp=0 xo=1 y=2)
+    detail::chain("coupling_row", 3, 0, 0, {2},
+                  {{Prim::MulAdd, 2, 0, 1, 2, kNone, kNone}}),
+    //   MG weighted-Jacobi x ← s0·(d ⊙ r) + x    (d=0 r=1 x=2 t=3)
+    detail::chain("diag_correct_row", 4, 1, 0, {2},
+                  {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
+                   {Prim::MulAdd, 2, sref(0), 3, 2, kNone, kNone}}),
+    //   MG scaled diagonal z ← s0·(d ⊙ r)        (d=0 r=1 z=2 t=3)
+    detail::chain("diag_scale_row", 4, 1, 0, {2},
+                  {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
+                   {Prim::Mul, 2, sref(0), 3, kNone, kNone, kNone}}),
 };
 
 inline constexpr std::size_t kNumBuiltins = std::size(kBuiltinChains);

@@ -15,8 +15,8 @@
 /// sweep that records op-by-op through the vla::Context, the natively
 /// stamped loop and its closed-form recording — are all generated from it
 /// (fusion/chain_exec.hpp).  Every span must hold as many elements as the
-/// output (a mismatch throws v2d::Error).  Spans must not alias except
-/// where a parameter is explicitly an in/out vector.
+/// output (for DPROD, as x); a mismatch throws v2d::Error.  Spans must not
+/// alias except where a parameter is explicitly an in/out vector.
 
 #include <span>
 

@@ -218,25 +218,11 @@ public:
   /// their programs, and so their counts, are identical.
   template <typename Factory>
   const sim::KernelCounts& memo_counts(std::uint64_t key, Factory&& make) {
-    if (front_ != nullptr && front_key_ == key) {
+    if (front_ != nullptr && front_key_ == key) [[likely]] {
       ++front_hits_;
       return *front_;
     }
-    CountCache& cache = *count_cache_;
-    {
-      std::shared_lock<std::shared_mutex> lk(cache.mu);
-      auto it = cache.map.find(key);
-      if (it != cache.map.end()) {
-        cache.hits.fetch_add(1, std::memory_order_relaxed);
-        detail::process_hits().fetch_add(1, std::memory_order_relaxed);
-        return set_front(key, it->second);
-      }
-    }
-    cache.misses.fetch_add(1, std::memory_order_relaxed);
-    detail::process_misses().fetch_add(1, std::memory_order_relaxed);
-    sim::KernelCounts made = make();
-    std::unique_lock<std::shared_mutex> lk(cache.mu);
-    return set_front(key, cache.map.try_emplace(key, made).first->second);
+    return memo_counts_shared(key, make);
   }
 
   /// Analytic-count memo cache statistics, accumulated across this context
@@ -461,6 +447,29 @@ private:
 
   void record(sim::OpClass c, std::uint64_t active) {
     counts_.record(c, active);
+  }
+
+  /// memo_counts past a front miss: the family map under its shared lock,
+  /// and on a miss the factory and an insert under the exclusive lock.
+  /// Kept out of line so each kernel's inlined front-hit path stays small.
+  template <typename Factory>
+  [[gnu::noinline]] const sim::KernelCounts& memo_counts_shared(
+      std::uint64_t key, Factory& make) {
+    CountCache& cache = *count_cache_;
+    {
+      std::shared_lock<std::shared_mutex> lk(cache.mu);
+      auto it = cache.map.find(key);
+      if (it != cache.map.end()) {
+        cache.hits.fetch_add(1, std::memory_order_relaxed);
+        detail::process_hits().fetch_add(1, std::memory_order_relaxed);
+        return set_front(key, it->second);
+      }
+    }
+    cache.misses.fetch_add(1, std::memory_order_relaxed);
+    detail::process_misses().fetch_add(1, std::memory_order_relaxed);
+    sim::KernelCounts made = make();
+    std::unique_lock<std::shared_mutex> lk(cache.mu);
+    return set_front(key, cache.map.try_emplace(key, made).first->second);
   }
 
   const sim::KernelCounts& set_front(std::uint64_t key,

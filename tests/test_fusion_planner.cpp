@@ -120,6 +120,16 @@ TEST(FusionLegality, ReductionOverUnstoredTemporaryIsRejected) {
   EXPECT_THROW((void)fusion::plan_chain(c), Error);
 }
 
+TEST(FusionLegality, ReductionOverScalarOperandIsRejected) {
+  // A scalar operand is a register broadcast with no memory image, so the
+  // compensated tail has nothing to read.
+  const auto c = fusion::detail::chain(
+      "scalar-dot", 1, 1, 1, {},
+      {{fusion::Prim::Dot, fusion::kNone, 0, fusion::sref(0), fusion::kNone,
+        fusion::kNone, 0}});
+  EXPECT_THROW((void)fusion::plan_chain(c), Error);
+}
+
 TEST(FusionLegality, AnnotatorAppliesTheSameCuts) {
   double a, b, x, y;
   vla::DagRecorder rec;
