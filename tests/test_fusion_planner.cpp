@@ -566,6 +566,49 @@ constexpr GoldenCounts kPrimitiveGoldenCounts[] = {
     {"diag_scale_row", 2048, 200, "fmul:14/400 ld1:14/400 st1:7/200 sel:1/1 pred:7/224 int:7/200 branch:7/200 rd:3200 wr:1600"},
 };
 
+/// KernelCounts of one MG transfer-row call (n = coarse zones for
+/// restrict_row, fine zones for prolong_row_add), captured from the
+/// hand-written gather rows (interpreter and native agreed) before they
+/// became planner chains.
+constexpr GoldenCounts kTransferGoldenCounts[] = {
+    {"restrict_row", 128, 0, "sel:2/2 rd:0 wr:0"},
+    {"restrict_row", 128, 1, "fmul:4/4 fma:16/16 st1:1/1 ld1-gather:16/16 sel:7/7 pred:1/2 int:1/1 branch:1/1 rd:128 wr:8"},
+    {"restrict_row", 128, 7, "fmul:16/28 fma:64/112 st1:4/7 ld1-gather:64/112 sel:22/22 pred:4/8 int:4/7 branch:4/7 rd:896 wr:56"},
+    {"restrict_row", 128, 8, "fmul:16/32 fma:64/128 st1:4/8 ld1-gather:64/128 sel:22/22 pred:4/8 int:4/8 branch:4/8 rd:1024 wr:64"},
+    {"restrict_row", 128, 9, "fmul:20/36 fma:80/144 st1:5/9 ld1-gather:80/144 sel:27/27 pred:5/10 int:5/9 branch:5/9 rd:1152 wr:72"},
+    {"restrict_row", 128, 200, "fmul:400/800 fma:1600/3200 st1:100/200 ld1-gather:1600/3200 sel:502/502 pred:100/200 int:100/200 branch:100/200 rd:25600 wr:1600"},
+    {"restrict_row", 512, 0, "sel:2/2 rd:0 wr:0"},
+    {"restrict_row", 512, 1, "fmul:4/4 fma:16/16 st1:1/1 ld1-gather:16/16 sel:7/7 pred:1/8 int:1/1 branch:1/1 rd:128 wr:8"},
+    {"restrict_row", 512, 7, "fmul:4/28 fma:16/112 st1:1/7 ld1-gather:16/112 sel:7/7 pred:1/8 int:1/7 branch:1/7 rd:896 wr:56"},
+    {"restrict_row", 512, 8, "fmul:4/32 fma:16/128 st1:1/8 ld1-gather:16/128 sel:7/7 pred:1/8 int:1/8 branch:1/8 rd:1024 wr:64"},
+    {"restrict_row", 512, 9, "fmul:8/36 fma:32/144 st1:2/9 ld1-gather:32/144 sel:12/12 pred:2/16 int:2/9 branch:2/9 rd:1152 wr:72"},
+    {"restrict_row", 512, 200, "fmul:100/800 fma:400/3200 st1:25/200 ld1-gather:400/3200 sel:127/127 pred:25/200 int:25/200 branch:25/200 rd:25600 wr:1600"},
+    {"restrict_row", 2048, 0, "sel:2/2 rd:0 wr:0"},
+    {"restrict_row", 2048, 1, "fmul:4/4 fma:16/16 st1:1/1 ld1-gather:16/16 sel:7/7 pred:1/32 int:1/1 branch:1/1 rd:128 wr:8"},
+    {"restrict_row", 2048, 7, "fmul:4/28 fma:16/112 st1:1/7 ld1-gather:16/112 sel:7/7 pred:1/32 int:1/7 branch:1/7 rd:896 wr:56"},
+    {"restrict_row", 2048, 8, "fmul:4/32 fma:16/128 st1:1/8 ld1-gather:16/128 sel:7/7 pred:1/32 int:1/8 branch:1/8 rd:1024 wr:64"},
+    {"restrict_row", 2048, 9, "fmul:4/36 fma:16/144 st1:1/9 ld1-gather:16/144 sel:7/7 pred:1/32 int:1/9 branch:1/9 rd:1152 wr:72"},
+    {"restrict_row", 2048, 200, "fmul:28/800 fma:112/3200 st1:7/200 ld1-gather:112/3200 sel:37/37 pred:7/224 int:7/200 branch:7/200 rd:25600 wr:1600"},
+    {"prolong_row_add", 128, 0, "sel:2/2 rd:0 wr:0"},
+    {"prolong_row_add", 128, 1, "fmul:2/2 fma:4/4 ld1:1/1 st1:1/1 ld1-gather:4/4 sel:2/2 pred:1/2 int:1/1 branch:1/1 rd:40 wr:8"},
+    {"prolong_row_add", 128, 7, "fmul:8/14 fma:16/28 ld1:4/7 st1:4/7 ld1-gather:16/28 sel:2/2 pred:4/8 int:4/7 branch:4/7 rd:280 wr:56"},
+    {"prolong_row_add", 128, 8, "fmul:8/16 fma:16/32 ld1:4/8 st1:4/8 ld1-gather:16/32 sel:2/2 pred:4/8 int:4/8 branch:4/8 rd:320 wr:64"},
+    {"prolong_row_add", 128, 9, "fmul:10/18 fma:20/36 ld1:5/9 st1:5/9 ld1-gather:20/36 sel:2/2 pred:5/10 int:5/9 branch:5/9 rd:360 wr:72"},
+    {"prolong_row_add", 128, 200, "fmul:200/400 fma:400/800 ld1:100/200 st1:100/200 ld1-gather:400/800 sel:2/2 pred:100/200 int:100/200 branch:100/200 rd:8000 wr:1600"},
+    {"prolong_row_add", 512, 0, "sel:2/2 rd:0 wr:0"},
+    {"prolong_row_add", 512, 1, "fmul:2/2 fma:4/4 ld1:1/1 st1:1/1 ld1-gather:4/4 sel:2/2 pred:1/8 int:1/1 branch:1/1 rd:40 wr:8"},
+    {"prolong_row_add", 512, 7, "fmul:2/14 fma:4/28 ld1:1/7 st1:1/7 ld1-gather:4/28 sel:2/2 pred:1/8 int:1/7 branch:1/7 rd:280 wr:56"},
+    {"prolong_row_add", 512, 8, "fmul:2/16 fma:4/32 ld1:1/8 st1:1/8 ld1-gather:4/32 sel:2/2 pred:1/8 int:1/8 branch:1/8 rd:320 wr:64"},
+    {"prolong_row_add", 512, 9, "fmul:4/18 fma:8/36 ld1:2/9 st1:2/9 ld1-gather:8/36 sel:2/2 pred:2/16 int:2/9 branch:2/9 rd:360 wr:72"},
+    {"prolong_row_add", 512, 200, "fmul:50/400 fma:100/800 ld1:25/200 st1:25/200 ld1-gather:100/800 sel:2/2 pred:25/200 int:25/200 branch:25/200 rd:8000 wr:1600"},
+    {"prolong_row_add", 2048, 0, "sel:2/2 rd:0 wr:0"},
+    {"prolong_row_add", 2048, 1, "fmul:2/2 fma:4/4 ld1:1/1 st1:1/1 ld1-gather:4/4 sel:2/2 pred:1/32 int:1/1 branch:1/1 rd:40 wr:8"},
+    {"prolong_row_add", 2048, 7, "fmul:2/14 fma:4/28 ld1:1/7 st1:1/7 ld1-gather:4/28 sel:2/2 pred:1/32 int:1/7 branch:1/7 rd:280 wr:56"},
+    {"prolong_row_add", 2048, 8, "fmul:2/16 fma:4/32 ld1:1/8 st1:1/8 ld1-gather:4/32 sel:2/2 pred:1/32 int:1/8 branch:1/8 rd:320 wr:64"},
+    {"prolong_row_add", 2048, 9, "fmul:2/18 fma:4/36 ld1:1/9 st1:1/9 ld1-gather:4/36 sel:2/2 pred:1/32 int:1/9 branch:1/9 rd:360 wr:72"},
+    {"prolong_row_add", 2048, 200, "fmul:14/400 fma:28/800 ld1:7/200 st1:7/200 ld1-gather:28/800 sel:2/2 pred:7/224 int:7/200 branch:7/200 rd:8000 wr:1600"},
+};
+
 /// One rank's simulated clock and an FNV-1a digest of its full cost ledger
 /// (see ledger_digest).
 struct GoldenRank {
@@ -584,6 +627,16 @@ constexpr GoldenRank kSimOff[] = {
     {0, 0, 0x1.b9f2fd576fe1ep-10, 0x0412a010ae06c074ULL},
     {1, 0, 0x1.f96e46bbc5905p-9, 0x376136461a5c6a18ULL},
 };
+// MgSolveMatchesGoldenInBothExecModes: CG + mg on 32×20 at 2×1 ranks,
+// cray + gnu, VL 512.
+constexpr GoldenRank kMgSolve[] = {
+    {0, 0, 0x1.da25ddb17363dp-13, 0xc6463493687446f9ULL},
+    {0, 1, 0x1.da25ddb17363dp-13, 0x5d8a520c00f4b786ULL},
+    {1, 0, 0x1.b23379a5d32ecp-12, 0xd10a921b149e19c2ULL},
+    {1, 1, 0x1.b23379a5d32ecp-12, 0x0dcfd2b99d9c411eULL},
+};
+constexpr int kMgSolveIterations = 8;
+constexpr std::uint64_t kMgSolveFieldHash = 0x1a7f5da81d3e25f4ULL;
 // MixedFuseFarmBitIdenticalToSolo: gaussian-pulse 48×24 on 2×1 ranks.
 constexpr GoldenRank kFarmOn[] = {
     {0, 0, 0x1.4b35967ae3137p-10, 0x79ea478604875a62ULL},
@@ -743,6 +796,53 @@ TEST(PrimitiveChains, CountsMatchGoldenAcrossVlAndTails) {
   }
 }
 
+/// The MG transfer rows record exactly what their hand-written forms did,
+/// in both exec modes, at every VL and tail shape pinned.
+TEST(TransferRows, CountsMatchGoldenAcrossVlAndTails) {
+  for (const GoldenCounts& g : kTransferGoldenCounts) {
+    for (const auto mode : {VlaExecMode::Interpret, VlaExecMode::Native}) {
+      Context ctx(VectorArch(g.vl_bits), mode);
+      Rng rng(5);
+      const std::size_t n = g.n;
+      std::vector<double> y(n);
+      const std::string name = g.composite;
+      if (name == "restrict_row") {
+        // Four fine rows 2n wide, each with one readable ghost per side.
+        std::vector<std::vector<double>> fine(4, std::vector<double>(2 * n + 2));
+        for (auto& row : fine)
+          for (auto& x : row) x = rng.uniform(-1.0, 1.0);
+        const double* rows[4] = {fine[0].data() + 1, fine[1].data() + 1,
+                                 fine[2].data() + 1, fine[3].data() + 1};
+        std::vector<std::int64_t> fm1(n), f0(n), f1(n), f2(n);
+        for (std::size_t c = 0; c < n; ++c) {
+          const auto f = 2 * static_cast<std::int64_t>(c);
+          fm1[c] = f - 1;
+          f0[c] = f;
+          f1[c] = f + 1;
+          f2[c] = f + 2;
+        }
+        mg::restrict_row(ctx, rows, {fm1, f0, f1, f2, {}, {}}, y);
+      } else {
+        ASSERT_EQ(name, "prolong_row_add");
+        // Two coarse rows ⌈n/2⌉ wide, with readable ghosts.
+        std::vector<double> cnear(n / 2 + 4), cfar(n / 2 + 4);
+        for (auto* v : {&cnear, &cfar})
+          for (auto& x : *v) x = rng.uniform(-1.0, 1.0);
+        std::vector<std::int64_t> near(n), far(n);
+        for (std::size_t f = 0; f < n; ++f) {
+          near[f] = static_cast<std::int64_t>(f / 2);
+          far[f] = near[f] + ((f & 1) ? 1 : -1);
+        }
+        mg::prolong_row_add(ctx, cnear.data() + 1, cfar.data() + 1,
+                            {{}, {}, {}, {}, near, far}, y);
+      }
+      EXPECT_EQ(format_counts(ctx.take_counts()), g.counts)
+          << name << " vl=" << g.vl_bits << " n=" << n
+          << (mode == VlaExecMode::Native ? " native" : " interpret");
+    }
+  }
+}
+
 // --- 3. DAG capture -----------------------------------------------------------
 
 TEST(DagCapture, RecordsFirstFusedIterationOncePerConfiguration) {
@@ -874,6 +974,46 @@ TEST(PlannedSolvers, TrajectoryMatchesOffAcrossTheMatrix) {
           expect_same_trajectory(out[0], out[1], label + " off/on");
         }
       }
+    }
+  }
+}
+
+/// An MG-preconditioned CG solve, priced per rank: the gathered field,
+/// per-rank clocks and full ledgers equal golden values captured while the
+/// transfer rows were still hand-written, in both exec modes.  32×20 on
+/// 2×1 ranks coarsens twice, so every V-cycle restricts and prolongs.
+TEST(PlannedSolvers, MgSolveMatchesGoldenInBothExecModes) {
+  for (const auto mode : {VlaExecMode::Interpret, VlaExecMode::Native}) {
+    const std::string label =
+        mode == VlaExecMode::Native ? "mg/native" : "mg/interpret";
+    Problem prob(32, 20, 1, 2, 1);
+    fill_operator(prob.A, 4242);
+    mpisim::ExecModel em(sim::MachineSpec::a64fx(),
+                         {compiler::cray_2103(), compiler::gnu_11()}, 2);
+    ExecContext ctx(VectorArch(512), &em, mode);
+    auto M = make_preconditioner("mg", ctx, prob.A);
+    DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
+    randomize(b, 11);
+    x.fill(ctx, 0.0);
+    SolveOptions opt;
+    opt.rel_tol = 1e-9;
+    CgSolver cg(prob.g, prob.d, 1);
+    const SolveStats st = cg.solve(ctx, prob.A, *M, x, b, opt);
+    EXPECT_TRUE(st.converged) << label;
+    EXPECT_EQ(st.iterations, kMgSolveIterations) << label;
+    const auto field = x.field().gather_global();
+    EXPECT_EQ(fnv1a(0xcbf29ce484222325ULL, field.data(),
+                    field.size() * sizeof(double)),
+              kMgSolveFieldHash)
+        << label;
+    ASSERT_EQ(em.nprofiles() * static_cast<std::size_t>(em.nranks()),
+              std::size(kMgSolve));
+    for (const GoldenRank& e : kMgSolve) {
+      const int r = static_cast<int>(e.rank);
+      EXPECT_EQ(em.rank_time(e.profile, r), e.clock)
+          << label << " profile " << e.profile << " rank " << e.rank;
+      EXPECT_EQ(ledger_digest(em.ledger(e.profile, r)), e.ledger)
+          << label << " ledger, profile " << e.profile << " rank " << e.rank;
     }
   }
 }
