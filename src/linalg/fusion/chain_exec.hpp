@@ -3,11 +3,10 @@
 /// \brief Run a built-in chain in all three execution representations.
 ///
 /// Every kernel the solvers run is a built-in Chain (ir.hpp): the Table II
-/// primitives and the MG diagonal rows as one- or two-node chains, the
-/// fused composites as the solver hot-loop chains.  Only the two MG
-/// transfer rows (mg::restrict_row, mg::prolong_row_add) keep hand-written
-/// forms, because the IR has no gather.  Each chain is planned at compile
-/// time (kBuiltinPlans), and each planned group runs as:
+/// primitives and the MG diagonal rows as one- or two-node chains, the MG
+/// transfer rows as gather chains, the fused composites as the solver
+/// hot-loop chains.  Each chain is planned at compile time
+/// (kBuiltinPlans), and each planned group runs as:
 ///   - Interpret: run_interpret walks the group's steps per strip through
 ///     vla::Context ops, recording op-by-op;
 ///   - Native: stamp_exec<G>, the group unrolled at compile time into a
@@ -39,13 +38,14 @@ namespace v2d::linalg::fusion {
 
 /// Operand binding of one chain call, each array in the chain's index
 /// order: slot → base pointer, scalar → value, accumulator → the caller's
-/// compensated dot.  Temp slots are bound to nullptr (they live in
-/// registers).
+/// compensated dot, gather table → its first index.  Temp slots are bound
+/// to nullptr (they live in registers); every table holds ≥ n entries.
 struct Bind {
   double* const* slot = nullptr;
   const double* scal = nullptr;
   DdLanes* const* acc = nullptr;
   std::size_t n = 0;
+  const std::int64_t* const* table = nullptr;
 };
 
 namespace detail {
@@ -74,6 +74,20 @@ std::array<double*, sizeof...(Ops)> bind_slots(const char* kernel,
                                                std::size_t n,
                                                const Ops&... ops) {
   return {detail::operand(kernel, n, ops)...};
+}
+
+/// Gather-table pointers of one call over `n` elements, in table order.
+/// Each table must hold at least n indices: the sweep reads entry i for
+/// every i < n.
+template <typename... Tables>
+std::array<const std::int64_t*, sizeof...(Tables)> bind_tables(
+    const char* kernel, std::size_t n, const Tables&... tables) {
+  const auto check = [&](std::span<const std::int64_t> t) {
+    V2D_REQUIRE(t.size() >= n,
+                std::string(kernel) + ": index table shorter than the row");
+    return t.data();
+  };
+  return {check(tables)...};
 }
 
 /// The compensated dots of a group, over the operands' memory images after
@@ -131,7 +145,7 @@ constexpr std::size_t sweep_slots(const GroupProgram& g) {
   const auto use = [&n](std::size_t s) { n = s + 1 > n ? s + 1 : n; };
   for (std::uint8_t i = 0; i < g.nsteps; ++i) {
     const Step& s = g.step[i];
-    if (s.k == StepKind::Load) use(s.a);
+    if (s.k == StepKind::Load || s.k == StepKind::LoadGather) use(s.a);
     if (s.k == StepKind::Stencil) use(s.a + 7u);
     if (s.k == StepKind::Store) use(s.dst);
   }
@@ -141,9 +155,22 @@ constexpr std::size_t sweep_slots(const GroupProgram& g) {
 /// 1 + the highest scalar the group broadcasts.
 constexpr std::size_t sweep_scalars(const GroupProgram& g) {
   std::size_t n = 0;
-  for (std::uint8_t i = 0; i < g.npre; ++i)
-    if (g.pre[i].k == StepKind::DupScal && g.pre[i].a + 1u > n)
-      n = g.pre[i].a + 1u;
+  const auto use = [&n](const Step& s) {
+    if ((s.k == StepKind::DupScal || s.k == StepKind::DupStrip) &&
+        s.a + 1u > n)
+      n = s.a + 1u;
+  };
+  for (std::uint8_t i = 0; i < g.npre; ++i) use(g.pre[i]);
+  for (std::uint8_t i = 0; i < g.nsteps; ++i) use(g.step[i]);
+  return n;
+}
+
+/// 1 + the highest index table the group gathers through.
+constexpr std::size_t sweep_tables(const GroupProgram& g) {
+  std::size_t n = 0;
+  for (std::uint8_t i = 0; i < g.nsteps; ++i)
+    if (g.step[i].k == StepKind::LoadGather && g.step[i].b + 1u > n)
+      n = g.step[i].b + 1u;
   return n;
 }
 
@@ -162,10 +189,15 @@ inline void stamp_pre(const double* sc, double* r) {
 }
 
 template <GroupProgram G, std::size_t I>
-inline void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
+inline void stamp_step(double* const* p, const std::int64_t* const* ix,
+                       const double* sc, double* r, std::ptrdiff_t i) {
   constexpr Step S = G.step[I];
   if constexpr (S.k == StepKind::Load) {
     r[S.dst] = p[S.a][i];
+  } else if constexpr (S.k == StepKind::LoadGather) {
+    r[S.dst] = p[S.a][ix[S.b][i]];
+  } else if constexpr (S.k == StepKind::DupStrip) {
+    r[S.dst] = sc[S.a];
   } else if constexpr (S.k == StepKind::Stencil) {
     double acc = p[S.a + 0][i] * p[S.a + 5][i];
     acc = p[S.a + 1][i] * p[S.a + 5][i - 1] + acc;
@@ -188,26 +220,29 @@ inline void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
 }
 
 /// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop over local copies of the slot pointers and
-/// scalars it uses, so the host compiler auto-vectorizes it.  Register
-/// slots with compile-time-constant indices are scalarized.
+/// into a flat per-element loop over local copies of the slot pointers,
+/// index tables and scalars it uses, so the host compiler auto-vectorizes
+/// it.  Register slots with compile-time-constant indices are scalarized.
 template <GroupProgram G>
 inline void stamp_exec(const Bind& b) {
   if constexpr (sweep_stores(G)) {
     constexpr std::size_t kSlots = sweep_slots(G);
     constexpr std::size_t kScalars = sweep_scalars(G);
+    constexpr std::size_t kTables = sweep_tables(G);
     double* p[kSlots] = {};
     for (std::size_t s = 0; s < kSlots; ++s) p[s] = b.slot[s];
     double sc[kScalars > 0 ? kScalars : 1] = {};
     for (std::size_t s = 0; s < kScalars; ++s) sc[s] = b.scal[s];
+    const std::int64_t* ix[kTables > 0 ? kTables : 1] = {};
+    for (std::size_t t = 0; t < kTables; ++t) ix[t] = b.table[t];
     const auto n = static_cast<std::ptrdiff_t>(b.n);
     for (std::ptrdiff_t i = 0; i < n; ++i) {
-      double r[kMaxRegs] = {};
+      double r[std::size_t{G.nregs}] = {};
       [&]<std::size_t... Pi>(std::index_sequence<Pi...>) {
         (stamp_pre<G, Pi>(sc, r), ...);
       }(std::make_index_sequence<std::size_t{G.npre}>{});
       [&]<std::size_t... Si>(std::index_sequence<Si...>) {
-        (stamp_step<G, Si>(p, r, i), ...);
+        (stamp_step<G, Si>(p, ix, sc, r, i), ...);
       }(std::make_index_sequence<std::size_t{G.nsteps}>{});
     }
   }
@@ -219,11 +254,9 @@ inline void stamp_exec(const Bind& b) {
 template <GroupProgram G>
 inline void run_stamp(vla::Context& ctx, const Bind& b) {
   constexpr int kId = builtin_stamp_id(G.sig);
-  static_assert(kId >= 0 && kId < 128, "stamp id outside the memo key");
-  // Bit 63 set and the stamp id in bits 56..62: disjoint from the
-  // KernelShape keys of the hand-written gather rows (bit 63 clear).
-  constexpr std::uint64_t kKey =
-      (1ull << 63) | (static_cast<std::uint64_t>(kId) << 56);
+  static_assert(kId >= 0 && kId < 256, "stamp id outside the memo key");
+  // The stamp id in the top byte, n below it.
+  constexpr std::uint64_t kKey = static_cast<std::uint64_t>(kId) << 56;
   ctx.add_counts(ctx.memo_counts(kKey | (b.n & 0x00ff'ffff'ffff'ffffULL), [&] {
     return group_counts(G, b.n, ctx.lanes());
   }));

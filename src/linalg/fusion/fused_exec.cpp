@@ -31,6 +31,14 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
         case StepKind::Load:
           reg[s.dst] = ctx.ld1(p, b.slot[s.a] + i);
           break;
+        case StepKind::LoadGather:
+          reg[s.dst] = ctx.ld1_gather(
+              p, b.slot[s.a],
+              std::span<const std::int64_t>(b.table[s.b] + i, p.active));
+          break;
+        case StepKind::DupStrip:
+          reg[s.dst] = ctx.dup(b.scal[s.a]);
+          break;
         case StepKind::Stencil: {
           // The canonical five-point sweep: mul then four chained FMAs,
           // coefficient load before the matching solution load.

@@ -25,10 +25,16 @@
 ///                                             compensated DdLanes by
 ///                                             the lane rule)
 ///
-/// Any source operand may name a scalar instead of a slot (sref(k): scalar
-/// k broadcast across the vector).  That one rule gives FILL its broadcast
-/// (Copy from a scalar), DSCAL its c addend and the MG scaled-diagonal row
-/// its ω factor.
+/// Any source operand may name a scalar or a gather instead of a slot:
+///   sref(k)        scalar k, broadcast once per call (FILL's broadcast,
+///                  DSCAL's c addend, the MG diagonal rows' ω);
+///   bref(k)        scalar k, broadcast afresh in every strip (the MG
+///                  restriction's per-strip weights and +0.0 accumulator
+///                  start);
+///   gref(s, t)     slot s gathered through index table t: the value at i
+///                  is slot[s][idx[t][i]] (the MG transfer rows' stride-2
+///                  and stride-1/2 reads).  Every use is one gather load,
+///                  and a group may not gather from a slot it writes.
 ///
 /// The chain lists which slots are live-out (must reach memory).  Writes to
 /// other slots are temporaries the planner keeps in registers.
@@ -43,19 +49,58 @@
 namespace v2d::linalg::fusion {
 
 inline constexpr std::uint8_t kNone = 0xff;
-inline constexpr std::size_t kMaxNodes = 8;
+inline constexpr std::size_t kMaxNodes = 20;
 inline constexpr std::size_t kMaxSlots = 16;
-inline constexpr std::size_t kMaxScalars = 4;
+inline constexpr std::size_t kMaxScalars = 5;
+inline constexpr std::size_t kMaxTables = 4;
 inline constexpr std::size_t kMaxAccs = 2;
 inline constexpr std::size_t kNameLen = 24;
 
-/// Source-operand tag: sref(k) names scalar k, not a slot.
+/// Failure path shared by compile-time and runtime planning: reaching it
+/// during constant evaluation is a compile error (the built-in template set
+/// can never ship an illegal chain); at runtime it throws.
+[[noreturn]] inline void plan_fail(const char* msg) {
+  throw Error(std::string("fusion planner: ") + msg);
+}
+
+/// Source-operand tags in the top two bits: 00 slot, 01 gather
+/// (table << 4 | slot), 10 scalar, 11 per-strip scalar.
+inline constexpr std::uint8_t kTagMask = 0xc0;
+inline constexpr std::uint8_t kGatherOperand = 0x40;
 inline constexpr std::uint8_t kScalarOperand = 0x80;
+inline constexpr std::uint8_t kStripOperand = 0xc0;
 
 constexpr std::uint8_t sref(std::uint8_t k) { return kScalarOperand | k; }
+constexpr std::uint8_t bref(std::uint8_t k) { return kStripOperand | k; }
+constexpr std::uint8_t gref(std::uint8_t slot, std::uint8_t table) {
+  if (slot >= kMaxSlots || table >= kMaxTables)
+    plan_fail("gather operand out of range");
+  return static_cast<std::uint8_t>(kGatherOperand | table << 4 | slot);
+}
 
 constexpr bool is_sref(std::uint8_t operand) {
-  return operand != kNone && (operand & kScalarOperand) != 0;
+  return (operand & kTagMask) == kScalarOperand;
+}
+constexpr bool is_bref(std::uint8_t operand) {
+  return operand != kNone && (operand & kTagMask) == kStripOperand;
+}
+constexpr bool is_gref(std::uint8_t operand) {
+  return (operand & kTagMask) == kGatherOperand;
+}
+/// The scalar index of an sref/bref, the slot or table of a gref.
+constexpr std::uint8_t scalar_of(std::uint8_t operand) {
+  return operand & ~kTagMask;
+}
+constexpr std::uint8_t gather_slot(std::uint8_t operand) {
+  return operand & 0x0f;
+}
+constexpr std::uint8_t gather_table(std::uint8_t operand) {
+  return (operand >> 4) & 0x03;
+}
+/// The slot a source operand reads from memory, kNone for a scalar.
+constexpr std::uint8_t read_slot(std::uint8_t operand) {
+  if (is_gref(operand)) return gather_slot(operand);
+  return (operand & kTagMask) == 0 ? operand : kNone;
 }
 
 enum class Prim : std::uint8_t {
@@ -100,13 +145,6 @@ struct Chain {
   PrimNode node[kMaxNodes] = {};
   bool live_out[kMaxSlots] = {};
 };
-
-/// Failure path shared by compile-time and runtime planning: reaching it
-/// during constant evaluation is a compile error (the built-in template set
-/// can never ship an illegal chain); at runtime it throws.
-[[noreturn]] inline void plan_fail(const char* msg) {
-  throw Error(std::string("fusion planner: ") + msg);
-}
 
 namespace detail {
 
@@ -185,6 +223,45 @@ constexpr Chain make_hadamard_update_dot2_chain() {
                         {Prim::Dot, kNone, 2, 2, kNone, kNone, 1}});
 }
 
+/// MG full-weighting restriction of one coarse row: the separable weights
+/// (1/4, 3/4, 3/4, 1/4) along i over four gathers per fine row, then
+/// coarse ← Σ_dj (wj[dj]/4)·row_dj from +0.0, dj-major (fine rows 0..3,
+/// coarse=4, temps row=5 acc=6; tables 2c−1, 2c, 2c+1, 2c+2; scalars
+/// 1/4, 3/4, 0, 1/16, 3/16, the last three broadcast per strip).
+constexpr Chain make_restrict_row_chain() {
+  Chain c = detail::chain("restrict_row", 7, 5, 0, {4}, {});
+  constexpr std::uint8_t kRow = 5, kAcc = 6;
+  constexpr std::uint8_t kTap[4] = {0, 1, 1, 0};     // 1/4, 3/4, 3/4, 1/4
+  constexpr std::uint8_t kWeight[4] = {3, 4, 4, 3};  // 1/16, 3/16, 3/16, 1/16
+  for (std::uint8_t dj = 0; dj < 4; ++dj) {
+    detail::push(c, {Prim::Mul, kRow, sref(kTap[0]), gref(dj, 0), kNone,
+                     kNone, kNone});
+    for (std::uint8_t t = 1; t < 4; ++t)
+      detail::push(c, {Prim::MulAdd, kRow, sref(kTap[t]), gref(dj, t), kRow,
+                       kNone, kNone});
+    detail::push(c, {Prim::MulAdd, dj == 3 ? std::uint8_t{4} : kAcc,
+                     bref(kWeight[dj]), kRow, dj == 0 ? bref(2) : kAcc,
+                     kNone, kNone});
+  }
+  return c;
+}
+
+/// MG bilinear prolongation of one fine row, added into it: the parent
+/// (near) and parity-adjacent (far) coarse values along i, 3/4 and 1/4, on
+/// each coarse row, then fine ← fine + 3/4·near-row + 1/4·far-row
+/// (cnear=0 cfar=1 fine=2, temps rn=3 rf=4 t=5; tables near=0 far=1;
+/// scalars 1/4, 3/4).
+constexpr Chain make_prolong_row_add_chain() {
+  return detail::chain(
+      "prolong_row_add", 6, 2, 0, {2},
+      {{Prim::Mul, 3, sref(1), gref(0, 0), kNone, kNone, kNone},
+       {Prim::MulAdd, 3, sref(0), gref(0, 1), 3, kNone, kNone},
+       {Prim::Mul, 4, sref(1), gref(1, 0), kNone, kNone, kNone},
+       {Prim::MulAdd, 4, sref(0), gref(1, 1), 4, kNone, kNone},
+       {Prim::MulAdd, 5, sref(1), 3, 2, kNone, kNone},
+       {Prim::MulAdd, 2, sref(0), 4, 5, kNone, kNone}});
+}
+
 /// Fused stencil-row composites.  Slots 0..7 are the stencil pack
 /// [cc cw ce cs cn xc xs xn]; then optionally csp/xo (coupling), the
 /// stencil temp, the residual operand b (sub form) or the distinct dot
@@ -252,6 +329,8 @@ enum class Builtin : std::uint8_t {
   CouplingRow,
   DiagCorrectRow,
   DiagScaleRow,
+  RestrictRow,
+  ProlongRowAdd,
 };
 
 inline constexpr Chain kBuiltinChains[] = {
@@ -311,10 +390,12 @@ inline constexpr Chain kBuiltinChains[] = {
     detail::chain("diag_scale_row", 4, 1, 0, {2},
                   {{Prim::Mul, 3, 0, 1, kNone, kNone, kNone},
                    {Prim::Mul, 2, sref(0), 3, kNone, kNone, kNone}}),
+    make_restrict_row_chain(),
+    make_prolong_row_add_chain(),
 };
 
 inline constexpr std::size_t kNumBuiltins = std::size(kBuiltinChains);
 static_assert(kNumBuiltins ==
-              static_cast<std::size_t>(Builtin::DiagScaleRow) + 1);
+              static_cast<std::size_t>(Builtin::ProlongRowAdd) + 1);
 
 }  // namespace v2d::linalg::fusion

@@ -42,6 +42,13 @@ KernelCounts group_counts(const GroupProgram& g, std::uint64_t n,
         per_strip(OpClass::LoadContig, 1);
         c.bytes_read += 8 * n;
         break;
+      case StepKind::LoadGather:
+        per_strip(OpClass::LoadGather, 1);
+        c.bytes_read += 8 * n;
+        break;
+      case StepKind::DupStrip:
+        op(c, OpClass::Select, strips, strips);  // one lane, as a ctx.dup
+        break;
       case StepKind::Stencil:
         // 5 coefficient + 5 solution loads, one mul, four chained FMAs.
         per_strip(OpClass::LoadContig, 10);
@@ -91,6 +98,8 @@ const char* step_kind_name(StepKind k) {
     case StepKind::Sub: return "sub";
     case StepKind::Store: return "st";
     case StepKind::DotAcc: return "dot_acc";
+    case StepKind::LoadGather: return "ldg";
+    case StepKind::DupStrip: return "dup_strip";
   }
   return "?";
 }
@@ -126,6 +135,13 @@ void print_step(std::ostringstream& os, const Step& s) {
       break;
     case StepKind::DotAcc:
       os << " a" << int(s.dst) << " += r" << int(s.a) << "*r" << int(s.b);
+      break;
+    case StepKind::LoadGather:
+      os << " r" << int(s.dst) << " <- v" << int(s.a) << "[x" << int(s.b)
+         << "]";
+      break;
+    case StepKind::DupStrip:
+      os << " r" << int(s.dst) << " <- s" << int(s.a);
       break;
   }
 }
@@ -196,7 +212,11 @@ std::string dump_plan(const Chain& c, const FusionPlan& p) {
   const auto operand = [&os](std::uint8_t x) {
     if (x == kNone) return;
     if (is_sref(x))
-      os << " s" << int(x & ~kScalarOperand);
+      os << " s" << int(scalar_of(x));
+    else if (is_bref(x))
+      os << " dup(s" << int(scalar_of(x)) << ")";
+    else if (is_gref(x))
+      os << " v" << int(gather_slot(x)) << "[x" << int(gather_table(x)) << "]";
     else
       os << " v" << int(x);
   };

@@ -19,7 +19,8 @@
 ///   - ILLEGAL: a node that writes a slot some Dot already in the group
 ///     reads (write-after-read across a reduction would change which values
 ///     the reduction sees) — the group is cut and the writer starts a new
-///     one.  Likewise a Dot whose operand is an unstored temporary, or a
+///     one.  Likewise a Dot whose operand is an unstored temporary, a
+///     scalar or a gather, a gather from a slot its own group writes, or a
 ///     temporary read across a group boundary, is rejected outright.
 ///
 /// Each group lowers to a GroupProgram: a register-allocated straight-line
@@ -39,10 +40,12 @@
 
 namespace v2d::linalg::fusion {
 
-inline constexpr std::size_t kMaxRegs = 32;
-inline constexpr std::size_t kMaxSteps = 40;
+inline constexpr std::size_t kMaxRegs = 48;
+inline constexpr std::size_t kMaxSteps = 48;
 inline constexpr std::size_t kMaxPre = kMaxScalars + kMaxAccs;
-inline constexpr std::size_t kMaxGroups = kMaxNodes;
+/// Sized for the built-in chains, not kMaxNodes: it sizes every plan in
+/// the constexpr kBuiltinPlans table.
+inline constexpr std::size_t kMaxGroups = 8;
 
 enum class StepKind : std::uint8_t {
   DupScal,  ///< pre:  reg[dst] ← broadcast scal[a]
@@ -54,6 +57,8 @@ enum class StepKind : std::uint8_t {
   Sub,      ///< body: reg[dst] ← reg[a] − reg[b]
   Store,    ///< body: slot[dst][i] ← reg[a]
   DotAcc,   ///< body: accreg[dst] ← fma_merge(reg[a], reg[b], accreg[dst])
+  LoadGather,  ///< body: reg[dst] ← slot[a][idx[b][i]]
+  DupStrip,    ///< body: reg[dst] ← broadcast scal[a], once per strip
 };
 
 struct Step {
@@ -154,6 +159,7 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
   std::uint8_t slot_reg[kMaxSlots] = {};
   std::uint8_t scal_reg[kMaxScalars] = {};
   bool written[kMaxSlots] = {};
+  bool gathered[kMaxSlots] = {};
   bool acc_used[kMaxAccs] = {};
   for (auto& r : slot_reg) r = kNone;
   for (auto& r : scal_reg) r = kNone;
@@ -177,8 +183,24 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
     return r;
   };
   const auto fetch = [&](std::uint8_t operand) -> std::uint8_t {
-    if (is_sref(operand))
-      return scalar(static_cast<std::uint8_t>(operand & ~kScalarOperand));
+    if (is_sref(operand)) return scalar(scalar_of(operand));
+    if (is_bref(operand)) {
+      if (scalar_of(operand) >= c.nscal) plan_fail("scalar index out of range");
+      const std::uint8_t r = fresh();
+      emit({StepKind::DupStrip, r, scalar_of(operand), 0, 0});
+      return r;
+    }
+    if (is_gref(operand)) {
+      // The gather reads memory at any index, so no slot of the group may
+      // be written while the sweep gathers from it.
+      const std::uint8_t slot = gather_slot(operand);
+      if (slot >= c.nslots) plan_fail("operand slot out of range");
+      if (written[slot]) plan_fail("gather reads a slot its group writes");
+      gathered[slot] = true;
+      const std::uint8_t r = fresh();
+      emit({StepKind::LoadGather, r, slot, gather_table(operand), 0});
+      return r;
+    }
     if (operand >= c.nslots) plan_fail("operand slot out of range");
     if (slot_reg[operand] != kNone) return slot_reg[operand];
     const std::uint8_t r = fresh();
@@ -188,6 +210,7 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
   };
   const auto write = [&](std::uint8_t slot, std::uint8_t r) {
     if (slot >= c.nslots) plan_fail("destination slot out of range");
+    if (gathered[slot]) plan_fail("gather reads a slot its group writes");
     slot_reg[slot] = r;
     written[slot] = true;
     if (c.live_out[slot]) emit({StepKind::Store, slot, r, 0, 0});
@@ -303,9 +326,10 @@ constexpr FusionPlan plan_chain(const Chain& c) {
     const GroupProgram& g = p.group[gi];
     for (std::uint8_t k = g.first_node; k < g.first_node + g.nnodes; ++k) {
       const PrimNode& nd = c.node[k];
-      const std::uint8_t reads[3] = {nd.src0, nd.src1, nd.src2};
+      const std::uint8_t reads[3] = {read_slot(nd.src0), read_slot(nd.src1),
+                                     read_slot(nd.src2)};
       for (const std::uint8_t s : reads) {
-        if (s == kNone || is_sref(s)) continue;
+        if (s == kNone) continue;
         if (writer_group[s] >= 0 && writer_group[s] < gi && !c.live_out[s])
           plan_fail("temporary value crosses a group boundary");
       }

@@ -1,14 +1,8 @@
 #include "linalg/mg/mg_kernels.hpp"
 
 #include "linalg/fusion/chain_exec.hpp"
-#include "linalg/kernel_counts.hpp"
-#include "linalg/kernels_native.hpp"
-#include "vla/loops.hpp"
 
 namespace v2d::linalg::mg {
-
-using vla::Predicate;
-using vla::VReg;
 
 void diag_correct_row(vla::Context& ctx, double omega,
                       std::span<const double> d, std::span<const double> r,
@@ -31,63 +25,30 @@ void diag_scale_row(vla::Context& ctx, double omega, std::span<const double> d,
 
 void restrict_row(vla::Context& ctx, const double* const fine[4],
                   const TransferTables& tab, std::span<double> coarse) {
-  const std::uint64_t n = coarse.size();
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::RestrictRow, n);
-    native::restrict_row(fine, tab.fm1.data(), tab.f0.data(), tab.f1.data(),
-                         tab.f2.data(), coarse.data(), n);
-    return;
-  }
-  // Separable full-weighting factors: (1/4)·w_i·w_j with w = (1/4, 3/4).
-  const double wj[4] = {0.25, 0.75, 0.75, 0.25};
-  const VReg vq = ctx.dup(0.25);
-  const VReg vt = ctx.dup(0.75);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    VReg acc = ctx.dup(0.0);
-    for (int dj = 0; dj < 4; ++dj) {
-      const double* frow = fine[dj];
-      const VReg a = ctx.ld1_gather(p, frow, tab.fm1.subspan(i));
-      const VReg b = ctx.ld1_gather(p, frow, tab.f0.subspan(i));
-      const VReg c = ctx.ld1_gather(p, frow, tab.f1.subspan(i));
-      const VReg d = ctx.ld1_gather(p, frow, tab.f2.subspan(i));
-      // Row value: 1/4·a + 3/4·b + 3/4·c + 1/4·d.
-      VReg row = ctx.mul(p, vq, a);
-      row = ctx.fma(p, vt, b, row);
-      row = ctx.fma(p, vt, c, row);
-      row = ctx.fma(p, vq, d, row);
-      const VReg w = ctx.dup(0.25 * wj[dj]);
-      acc = ctx.fma_merge(p, w, row, acc);
-    }
-    ctx.st1(p, &coarse[i], acc);
-  });
+  const std::size_t n = coarse.size();
+  const auto slot = fusion::bind_slots("restrict_row", n, fine[0], fine[1],
+                                       fine[2], fine[3], coarse, nullptr,
+                                       nullptr);
+  const auto table =
+      fusion::bind_tables("restrict_row", n, tab.fm1, tab.f0, tab.f1, tab.f2);
+  // The i-direction taps 1/4, 3/4, the +0.0 accumulator start, and the
+  // j-direction weights (1/4)·(1/4, 3/4).
+  const double scal[] = {0.25, 0.75, 0.0, 0.0625, 0.1875};
+  fusion::run_chain<fusion::Builtin::RestrictRow>(
+      ctx, {slot.data(), scal, nullptr, n, table.data()});
 }
 
 void prolong_row_add(vla::Context& ctx, const double* cnear,
                      const double* cfar, const TransferTables& tab,
                      std::span<double> fine) {
-  const std::uint64_t n = fine.size();
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::ProlongRow, n);
-    native::prolong_row_add(cnear, cfar, tab.near.data(), tab.far.data(),
-                            fine.data(), n);
-    return;
-  }
-  const VReg vq = ctx.dup(0.25);
-  const VReg vt = ctx.dup(0.75);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const auto near = tab.near.subspan(i);
-    const auto far = tab.far.subspan(i);
-    // 1-D interpolation on each of the two coarse rows …
-    VReg rn = ctx.mul(p, vt, ctx.ld1_gather(p, cnear, near));
-    rn = ctx.fma(p, vq, ctx.ld1_gather(p, cnear, far), rn);
-    VReg rf = ctx.mul(p, vt, ctx.ld1_gather(p, cfar, near));
-    rf = ctx.fma(p, vq, ctx.ld1_gather(p, cfar, far), rf);
-    // … then in j, and accumulate into the fine row.
-    VReg y = ctx.ld1(p, &fine[i]);
-    y = ctx.fma(p, vt, rn, y);
-    y = ctx.fma(p, vq, rf, y);
-    ctx.st1(p, &fine[i], y);
-  });
+  const std::size_t n = fine.size();
+  const auto slot = fusion::bind_slots("prolong_row_add", n, cnear, cfar, fine,
+                                       nullptr, nullptr, nullptr);
+  const auto table =
+      fusion::bind_tables("prolong_row_add", n, tab.near, tab.far);
+  const double scal[] = {0.25, 0.75};
+  fusion::run_chain<fusion::Builtin::ProlongRowAdd>(
+      ctx, {slot.data(), scal, nullptr, n, table.data()});
 }
 
 }  // namespace v2d::linalg::mg

@@ -4,14 +4,10 @@
 ///
 /// The smoother's diagonal sweeps and the inter-grid transfer rows are hot
 /// enough inside a V-cycle to need the same dual-mode treatment as the
-/// Table II kernels.  The two diagonal rows are built-in planner chains
-/// like every primitive (fusion/chain_exec.hpp generates their interpreter
-/// sweep, native stamp and closed-form counts).  The two transfer rows
-/// gather through index tables, which the chain IR cannot express, so they
-/// keep hand-written forms: a predicated whilelt sweep through the
-/// vla::Context in VlaExecMode::Interpret, and in VlaExecMode::Native a
-/// raw-pointer loop (kernels_native.hpp) whose recording comes from the
-/// closed-form formulas in kernel_counts.hpp.
+/// Table II kernels.  All four are built-in planner chains like every
+/// primitive (fusion/chain_exec.hpp generates their interpreter sweep,
+/// native stamp and closed-form counts); the transfer rows read the fine
+/// or coarse rows through gather operands indexed by TransferTables.
 
 #include <cstdint>
 #include <span>
@@ -33,6 +29,8 @@ void diag_scale_row(vla::Context& ctx, double omega, std::span<const double> d,
 
 /// Tile-local gather-index tables shared by every row of one transfer call.
 /// Negative entries and one-past-the-end read the exchanged ghost column.
+/// Each table a row reads must hold at least the row's length; the other
+/// transfer's tables may be empty.
 struct TransferTables {
   std::span<const std::int64_t> fm1, f0, f1, f2;  ///< restriction: 2c−1 … 2c+2
   std::span<const std::int64_t> near, far;  ///< prolongation: parent / parity

@@ -12,38 +12,36 @@ using compiler::KernelFamily;
 
 namespace {
 
-/// Gather-index tables shared by every row sweep of one transfer call.
-/// Indices are tile-local (relative to a row's li = 0 pointer); negative
-/// entries and one-past-the-end read the exchanged ghost column.
-struct IndexTables {
-  std::vector<std::int64_t> fm1, f0, f1, f2;  // restriction: 2c−1 … 2c+2
-  std::vector<std::int64_t> near, far;        // prolongation: parent / parity
-
-  TransferTables spans() const {
-    return TransferTables{fm1, f0, f1, f2, near, far};
+/// Check that the coarse tiles are parent-aligned, then build the
+/// gather-index tables one transfer reads into `idx`, sized for the widest
+/// tile so every row of every rank shares them: restriction's 2c−1 … 2c+2
+/// per coarse zone c, or prolongation's parent and parity-adjacent coarse
+/// zone per fine zone f.  Indices are tile-local (relative to a row's
+/// li = 0 pointer); negative entries and one-past-the-end read the
+/// exchanged ghost column.
+TransferTables build_tables(const grid::Decomposition& cdec,
+                            const grid::Decomposition& fdec, bool restriction,
+                            std::vector<std::int64_t> (&idx)[4]) {
+  int max_cni = 0;
+  for (int r = 0; r < cdec.nranks(); ++r) {
+    const grid::TileExtent& ce = cdec.extent(r);
+    const grid::TileExtent& fe = fdec.extent(r);
+    V2D_REQUIRE(fe.i0 == 2 * ce.i0 && fe.j0 == 2 * ce.j0 &&
+                    fe.ni == 2 * ce.ni && fe.nj == 2 * ce.nj,
+                "coarse tiles must be parent-aligned");
+    max_cni = std::max(max_cni, ce.ni);
   }
-};
-
-IndexTables build_tables(int coarse_ni, int fine_ni) {
-  IndexTables t;
-  t.fm1.resize(static_cast<std::size_t>(coarse_ni));
-  t.f0.resize(static_cast<std::size_t>(coarse_ni));
-  t.f1.resize(static_cast<std::size_t>(coarse_ni));
-  t.f2.resize(static_cast<std::size_t>(coarse_ni));
-  for (int c = 0; c < coarse_ni; ++c) {
-    t.fm1[static_cast<std::size_t>(c)] = 2 * c - 1;
-    t.f0[static_cast<std::size_t>(c)] = 2 * c;
-    t.f1[static_cast<std::size_t>(c)] = 2 * c + 1;
-    t.f2[static_cast<std::size_t>(c)] = 2 * c + 2;
+  if (restriction) {
+    for (std::int64_t k = 0; k < 4; ++k)
+      for (std::int64_t c = 0; c < max_cni; ++c)
+        idx[k].push_back(2 * c + k - 1);
+    return {idx[0], idx[1], idx[2], idx[3], {}, {}};
   }
-  t.near.resize(static_cast<std::size_t>(fine_ni));
-  t.far.resize(static_cast<std::size_t>(fine_ni));
-  for (int f = 0; f < fine_ni; ++f) {
-    const int parent = f / 2;
-    t.near[static_cast<std::size_t>(f)] = parent;
-    t.far[static_cast<std::size_t>(f)] = parent + ((f & 1) ? 1 : -1);
+  for (std::int64_t f = 0; f < 2 * max_cni; ++f) {
+    idx[0].push_back(f / 2);
+    idx[1].push_back(f / 2 + ((f & 1) ? 1 : -1));
   }
-  return t;
+  return {{}, {}, {}, {}, idx[0], idx[1]};
 }
 
 void check_pair(const DistVector& fine, const DistVector& coarse) {
@@ -53,17 +51,6 @@ void check_pair(const DistVector& fine, const DistVector& coarse) {
               "transfer levels must differ by a factor of 2");
   V2D_REQUIRE(fine.nranks() == coarse.nranks(),
               "transfer levels must share the rank layout");
-}
-
-void check_parent_aligned(const grid::Decomposition& cdec,
-                          const grid::Decomposition& fdec) {
-  for (int r = 0; r < cdec.nranks(); ++r) {
-    const grid::TileExtent& ce = cdec.extent(r);
-    const grid::TileExtent& fe = fdec.extent(r);
-    V2D_REQUIRE(fe.i0 == 2 * ce.i0 && fe.j0 == 2 * ce.j0 &&
-                    fe.ni == 2 * ce.ni && fe.nj == 2 * ce.nj,
-                "coarse tiles must be parent-aligned");
-  }
 }
 
 }  // namespace
@@ -77,14 +64,8 @@ void restrict_full_weighting(ExecContext& ctx, DistVector& fine,
   ctx.exchange(transfers, "mpi_halo");
 
   const auto& cdec = coarse.field().decomp();
-  const auto& fdec = ff.decomp();
-  check_parent_aligned(cdec, fdec);
-  int max_cni = 0, max_fni = 0;
-  for (int r = 0; r < cdec.nranks(); ++r) {
-    max_cni = std::max(max_cni, cdec.extent(r).ni);
-    max_fni = std::max(max_fni, fdec.extent(r).ni);
-  }
-  const IndexTables tab = build_tables(max_cni, max_fni);
+  std::vector<std::int64_t> idx[4];
+  const TransferTables tab = build_tables(cdec, ff.decomp(), true, idx);
 
   const int ns = fine.ns();
   par_ranks(ctx, cdec, [&](int r, ExecContext& rctx) {
@@ -96,8 +77,7 @@ void restrict_full_weighting(ExecContext& ctx, DistVector& fine,
       for (int lcj = 0; lcj < ce.nj; ++lcj) {
         const double* frows[4] = {fv.row(2 * lcj - 1), fv.row(2 * lcj),
                                   fv.row(2 * lcj + 1), fv.row(2 * lcj + 2)};
-        restrict_row(rctx.vctx, frows, tab.spans(),
-                     std::span<double>(cv.row(lcj), n));
+        restrict_row(rctx.vctx, frows, tab, std::span<double>(cv.row(lcj), n));
       }
     }
     const auto elements = static_cast<std::uint64_t>(ce.ni) * ce.nj * ns;
@@ -115,15 +95,9 @@ void prolong_bilinear_add(ExecContext& ctx, DistVector& coarse,
   cf.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching R
   ctx.exchange(transfers, "mpi_halo");
 
-  const auto& cdec = cf.decomp();
   const auto& fdec = fine.field().decomp();
-  check_parent_aligned(cdec, fdec);
-  int max_cni = 0, max_fni = 0;
-  for (int r = 0; r < cdec.nranks(); ++r) {
-    max_cni = std::max(max_cni, cdec.extent(r).ni);
-    max_fni = std::max(max_fni, fdec.extent(r).ni);
-  }
-  const IndexTables tab = build_tables(max_cni, max_fni);
+  std::vector<std::int64_t> idx[4];
+  const TransferTables tab = build_tables(cf.decomp(), fdec, false, idx);
 
   const int ns = fine.ns();
   par_ranks(ctx, fdec, [&](int r, ExecContext& rctx) {
@@ -135,8 +109,8 @@ void prolong_bilinear_add(ExecContext& ctx, DistVector& coarse,
       for (int lfj = 0; lfj < fe.nj; ++lfj) {
         const int cj_near = lfj / 2;
         const int cj_far = cj_near + ((lfj & 1) ? 1 : -1);
-        prolong_row_add(rctx.vctx, cv.row(cj_near), cv.row(cj_far),
-                        tab.spans(), std::span<double>(fv.row(lfj), n));
+        prolong_row_add(rctx.vctx, cv.row(cj_near), cv.row(cj_far), tab,
+                        std::span<double>(fv.row(lfj), n));
       }
     }
     const auto elements = static_cast<std::uint64_t>(fe.ni) * fe.nj * ns;

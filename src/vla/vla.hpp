@@ -207,15 +207,13 @@ public:
   /// family and process counters by take_counts(), memo_hits() and the
   /// destructor.
   ///
-  /// The key space is partitioned by producer so a Context shared across
-  /// farm jobs running different --fuse modes can never read a count
-  /// cached under another kernel: the hand-written gather rows key as
-  /// (KernelShape << 56) | n with bit 63 clear, while every planner-built
-  /// group (primitive kernel or fused composite) keys as
-  /// (1 << 63) | (stamp id << 56) | n, where the stamp id numbers the
-  /// distinct group signatures (fusion::GroupProgram::sig) in the fixed
-  /// order of the built-in chain list.  Two groups share a key only when
-  /// their programs, and so their counts, are identical.
+  /// Every recording the library memoizes is one planner-built group
+  /// (fusion::run_chain), keyed as (stamp id << 56) | n, where the stamp id
+  /// numbers the distinct group signatures (fusion::GroupProgram::sig) in
+  /// the fixed order of the built-in chain list.  Two groups share a key
+  /// only when their programs, and so their counts, are identical, so a
+  /// Context shared across farm jobs running different --fuse modes can
+  /// never read a count cached under another kernel.
   template <typename Factory>
   const sim::KernelCounts& memo_counts(std::uint64_t key, Factory&& make) {
     if (front_ != nullptr && front_key_ == key) [[likely]] {
@@ -230,7 +228,7 @@ public:
   /// every fork that probed has committed (take_counts) or been destroyed;
   /// this context's own front hits are published by the call itself.  A
   /// steady-state native-mode run should be almost all hits; the miss
-  /// count bounds how many distinct (shape, n) formulas were ever
+  /// count bounds how many distinct (group, n) formulas were ever
   /// evaluated.  Exposed so perfmon can report fast-path recording
   /// overhead (see perfmon::MemoCacheStats).
   std::uint64_t memo_hits() const {

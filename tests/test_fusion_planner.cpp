@@ -7,7 +7,8 @@
 ///      repeated planning and across host-thread counts;
 ///   2. legality — write-after-read across a reduction cuts the group (in
 ///      both plan_chain and the DAG annotator), and a reduction over an
-///      unstored temporary is rejected outright;
+///      unstored temporary, a scalar or a gather, or a gather from a slot
+///      its group writes, is rejected outright;
 ///   3. DAG capture — the first fused solver iteration of each
 ///      configuration is recorded once, on the driving thread only, and
 ///      the capture prices nothing;
@@ -128,6 +129,40 @@ TEST(FusionLegality, ReductionOverScalarOperandIsRejected) {
       {{fusion::Prim::Dot, fusion::kNone, 0, fusion::sref(0), fusion::kNone,
         fusion::kNone, 0}});
   EXPECT_THROW((void)fusion::plan_chain(c), Error);
+}
+
+TEST(FusionLegality, ReductionOverGatherOperandIsRejected) {
+  // The compensated tail reads its operands linearly after the sweep, so
+  // a gathered operand has no memory image it could read either.
+  const auto c = fusion::detail::chain(
+      "gather-dot", 2, 0, 1, {},
+      {{fusion::Prim::Dot, fusion::kNone, 0, fusion::gref(1, 0),
+        fusion::kNone, fusion::kNone, 0}});
+  EXPECT_THROW((void)fusion::plan_chain(c), Error);
+}
+
+TEST(FusionLegality, GatherFromASlotItsGroupWritesIsRejected) {
+  // A gather may read any element, including ones the sweep has or has
+  // not yet stored, so no group may both gather from a slot and write it.
+  using fusion::Prim;
+  const auto write_then_gather = fusion::detail::chain(
+      "write-gather", 3, 0, 0, {1, 2},
+      {{Prim::Copy, 1, 0, fusion::kNone, fusion::kNone, fusion::kNone,
+        fusion::kNone},
+       {Prim::Copy, 2, fusion::gref(1, 0), fusion::kNone, fusion::kNone,
+        fusion::kNone, fusion::kNone}});
+  EXPECT_THROW((void)fusion::plan_chain(write_then_gather), Error);
+  const auto gather_then_write = fusion::detail::chain(
+      "gather-write", 2, 0, 0, {0},
+      {{Prim::Copy, 0, fusion::gref(0, 0), fusion::kNone, fusion::kNone,
+        fusion::kNone, fusion::kNone}});
+  EXPECT_THROW((void)fusion::plan_chain(gather_then_write), Error);
+  // Gathering from a slot nothing writes is the MG transfer rows' shape.
+  const auto ok = fusion::detail::chain(
+      "gather-copy", 2, 0, 0, {1},
+      {{Prim::Copy, 1, fusion::gref(0, 0), fusion::kNone, fusion::kNone,
+        fusion::kNone, fusion::kNone}});
+  EXPECT_EQ(fusion::plan_chain(ok).ngroups, 1);
 }
 
 TEST(FusionLegality, AnnotatorAppliesTheSameCuts) {

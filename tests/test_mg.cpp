@@ -119,6 +119,40 @@ TEST(BandedLU, RejectsZeroPivot) {
   EXPECT_THROW(BandedLU lu(m), Error);
 }
 
+TEST(MgKernels, TransferRowsRejectShortIndexTables) {
+  // A transfer row reads each index table it uses over the whole output
+  // row, so each must hold at least that many entries, in both exec
+  // modes; a table the row does not read may stay empty.
+  constexpr std::size_t n = 64;
+  for (const auto mode :
+       {vla::VlaExecMode::Interpret, vla::VlaExecMode::Native}) {
+    vla::Context ctx(vla::VectorArch(512), mode);
+    std::vector<double> fine(2 * n + 2, 1.0), coarse(n + 2, 1.0), y(n, 0.0);
+    const double* rows[4] = {fine.data() + 1, fine.data() + 1,
+                             fine.data() + 1, fine.data() + 1};
+    const std::vector<std::int64_t> ok(n, 0), shrt(8, 0);
+    EXPECT_THROW(mg::restrict_row(ctx, rows, {shrt, ok, ok, ok, {}, {}}, y),
+                 Error);
+    EXPECT_THROW(mg::restrict_row(ctx, rows, {ok, shrt, ok, ok, {}, {}}, y),
+                 Error);
+    EXPECT_THROW(mg::restrict_row(ctx, rows, {ok, ok, shrt, ok, {}, {}}, y),
+                 Error);
+    EXPECT_THROW(mg::restrict_row(ctx, rows, {ok, ok, ok, shrt, {}, {}}, y),
+                 Error);
+    EXPECT_THROW(mg::prolong_row_add(ctx, coarse.data() + 1, coarse.data() + 1,
+                                     {{}, {}, {}, {}, shrt, ok}, y),
+                 Error);
+    EXPECT_THROW(mg::prolong_row_add(ctx, coarse.data() + 1, coarse.data() + 1,
+                                     {{}, {}, {}, {}, ok, shrt}, y),
+                 Error);
+    mg::restrict_row(ctx, rows, {ok, ok, ok, ok, {}, {}}, y);
+    EXPECT_EQ(y[n - 1], 1.0);  // the weights sum to one
+    mg::prolong_row_add(ctx, coarse.data() + 1, coarse.data() + 1,
+                        {{}, {}, {}, {}, ok, ok}, y);
+    EXPECT_EQ(y[n - 1], 2.0);
+  }
+}
+
 // --- hierarchy ----------------------------------------------------------------
 
 TEST(MgKernels, DiagRowsRejectShortOperands) {

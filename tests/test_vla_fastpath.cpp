@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/v2d.hpp"
-#include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/mg/mg_kernels.hpp"
 #include "support/rng.hpp"
